@@ -9,7 +9,7 @@ recorded. Everything is deterministic given (data, plan, config).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,12 +64,7 @@ class CvCell:
     valid: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "mean_nloglike": self.mean_nloglike,
-            "valid": self.valid,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -88,18 +83,7 @@ class CvReport:
     n_test: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "best_lambda1": self.best_lambda1,
-            "best_lambda2": self.best_lambda2,
-            "heldout_nloglike": self.heldout_nloglike,
-            "rank_l": self.rank_l,
-            "nnz_offdiag_s": self.nnz_offdiag_s,
-            "folds": self.folds,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "cells": [cell.to_json_dict() for cell in self.cells],
-        }
+        return asdict(self)
 
 
 def nloglike(a_hat: SymMatrix, sigma_test: SymMatrix) -> float:

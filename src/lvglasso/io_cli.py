@@ -5,10 +5,14 @@ estimate), ``glasso`` (sparse-only estimate), ``cv`` (cross-validated
 penalty selection), ``bench`` (per-size timing sweep). Every run writes a
 JSON manifest echoing the command, configuration, input hashes, seeds,
 package version, and wall time, so a run can be replayed and diffed.
+`main` writes it for every subcommand: every parsed flag is configuration
+except ``--out``, ``--seed`` (the subcommand reports the seeds it derives)
+and the input files (recorded by sha256).
 
-Exit codes: 0 success, 1 numerical failure (with a diagnostic
-``error.json``), 2 usage error. Environment variables ``LVGLASSO_MU`` and
-``LVGLASSO_EPSILON`` override the default solver penalty and tolerance.
+Exit codes: 0 success, 1 numerical failure or unusable input file (with a
+diagnostic ``error.json``), 2 usage error. Environment variables ``LVGLASSO_MU`` and
+``LVGLASSO_EPSILON`` override the default solver penalty and tolerance and
+are validated like the flags they stand in for.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -51,7 +55,8 @@ VERSION = "0.1.0"
 
 FORMATS = ("dense-csv", "dense-binary")
 _SUFFIX_TO_FORMAT = {".csv": "dense-csv", ".npy": "dense-binary"}
-_FORMAT_TO_SUFFIX = {"dense-csv": ".csv", "dense-binary": ".npy"}
+# --format choice -> file suffix
+_FLAG_SUFFIX = {"binary": ".npy", "csv": ".csv"}
 
 # Penalty pairs for the timing sweep, stated at reference size 3000 and
 # rescaled to each instance by 3000/p.
@@ -89,27 +94,25 @@ def _format_for(path: Path) -> str:
         ) from None
 
 
-def write_matrix(path, array, fmt: str | None = None) -> MatrixFile:
-    """Write a 2-D float array (or SymMatrix) to ``path``.
+def write_matrix(path, array) -> MatrixFile:
+    """Write a 2-D float array (or SymMatrix) to ``path``, format by suffix.
 
-    ``dense-binary`` round-trips bitwise; ``dense-csv`` writes 17
-    significant digits (enough to reproduce every double exactly) under a
-    ``# dense-csv <rows> <cols>`` header line.
+    ``.npy`` (``dense-binary``) round-trips bitwise; ``.csv``
+    (``dense-csv``) writes 17 significant digits (enough to reproduce every
+    double exactly) under a ``# dense-csv <rows> <cols>`` header line.
     """
     path = Path(path)
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"only 2-D matrices are supported, got ndim={arr.ndim}")
-    fmt = fmt or _format_for(path)
+    fmt = _format_for(path)
     if fmt == "dense-binary":
         with open(path, "wb") as f:
             np.save(f, arr)
-    elif fmt == "dense-csv":
+    else:
         with open(path, "w") as f:
             f.write(f"# dense-csv {arr.shape[0]} {arr.shape[1]}\n")
             np.savetxt(f, arr, fmt="%.17g", delimiter=",")
-    else:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     return MatrixFile(path=path, format=fmt)
 
 
@@ -156,16 +159,7 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "input_hashes": self.input_hashes,
-            "seeds": self.seeds,
-            "version": self.version,
-            "wall_time": self.wall_time,
-            "created": self.created,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
 
 def _sha256(path: Path) -> str:
@@ -182,26 +176,32 @@ def _write_json(path: Path, obj) -> None:
         f.write("\n")
 
 
-def _finish_manifest(
-    out_dir: Path,
-    command: str,
-    config: dict,
-    input_hashes: dict,
-    seeds: dict,
-    t0: float,
-    outputs: dict | None = None,
-) -> None:
+def _write_manifest(args, seeds: dict, outputs: dict, wall_time: float) -> None:
+    """Write ``manifest.json`` for a finished run from its parsed flags.
+
+    Every flag but ``--out`` and ``--seed`` is configuration, except
+    ``Path``-typed input files, which are recorded by sha256.
+    """
+    flags = {
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "func", "out", "seed")
+    }
+    inputs = [v for v in flags.values() if isinstance(v, Path)]
     manifest = RunManifest(
-        command=command,
-        config=config,
-        input_hashes=input_hashes,
+        command=args.command,
+        config={
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in flags.items()
+            if not isinstance(v, Path)
+        },
+        input_hashes={str(path): _sha256(path) for path in inputs},
         seeds=seeds,
         version=VERSION,
-        wall_time=time.perf_counter() - t0,
+        wall_time=wall_time,
         created=datetime.now(timezone.utc).isoformat(),
-        outputs=outputs or {},
+        outputs=outputs,
     )
-    _write_json(out_dir / "manifest.json", manifest.to_json_dict())
+    _write_json(args.out / "manifest.json", manifest.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +258,17 @@ def _int_list(text: str) -> tuple:
     return values
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return fallback
-    return float(raw)
-
-
 def _add_solver_flags(sub: argparse.ArgumentParser, max_iters_default: int = 5000):
     sub.add_argument(
         "--mu",
         type=_positive_float,
-        default=_env_float("LVGLASSO_MU", 0.01),
+        default=os.environ.get("LVGLASSO_MU") or "0.01",
         help="dual step size / quadratic penalty weight (env: LVGLASSO_MU)",
     )
     sub.add_argument(
         "--eps",
         type=_positive_float,
-        default=_env_float("LVGLASSO_EPSILON", 1e-4),
+        default=os.environ.get("LVGLASSO_EPSILON") or "1e-4",
         help="stopping tolerance (env: LVGLASSO_EPSILON)",
     )
     sub.add_argument(
@@ -293,15 +286,14 @@ def _add_out_flag(sub: argparse.ArgumentParser):
 def _add_format_flag(sub: argparse.ArgumentParser):
     sub.add_argument(
         "--format",
-        choices=("binary", "csv"),
+        choices=tuple(_FLAG_SUFFIX),
         default="binary",
         help="matrix file format (binary = .npy, csv = .csv)",
     )
 
 
 def _matrix_path(out_dir: Path, name: str, format_flag: str) -> Path:
-    fmt = "dense-binary" if format_flag == "binary" else "dense-csv"
-    return out_dir / (name + _FORMAT_TO_SUFFIX[fmt])
+    return out_dir / (name + _FLAG_SUFFIX[format_flag])
 
 
 def _solver_config(args) -> SolverConfig:
@@ -331,14 +323,13 @@ def _write_result_files(args, result, records) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes its files into ``args.out`` and returns the
+# manifest's ``(seeds, outputs)``; `main` records the rest.
 
 
-def cli_generate(args) -> int:
-    """Generate ground truth + samples + covariance + manifest."""
-    t0 = time.perf_counter()
+def cli_generate(args) -> tuple[dict, dict]:
+    """Generate ground truth + samples + covariance."""
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     spec = LatentModelSpec(
         p_obs=args.p_obs,
         p_hidden=args.p_hidden,
@@ -353,26 +344,10 @@ def cli_generate(args) -> int:
     write_matrix(_matrix_path(out, "k_marginal", args.format), truth.k_marginal)
     write_matrix(_matrix_path(out, "samples", args.format), data.samples)
     write_matrix(_matrix_path(out, "covariance", args.format), data.covariance)
-    _finish_manifest(
-        out,
-        "generate",
-        config={
-            "p_obs": args.p_obs,
-            "p_hidden": args.p_hidden,
-            "sparsity": args.sparsity,
-            "cross_block_scale": args.cross_block_scale,
-            "n_samples": args.n_samples,
-            "format": args.format,
-        },
-        input_hashes={},
-        seeds={"generate": args.seed, "sample": sample_seed},
-        t0=t0,
-        outputs={
-            "realized_sparsity": truth.realized_sparsity(),
-            "rank_low_rank_part": psd_rank(truth.low_rank_part()),
-        },
-    )
-    return 0
+    return {"generate": args.seed, "sample": sample_seed}, {
+        "realized_sparsity": truth.realized_sparsity(),
+        "rank_low_rank_part": psd_rank(truth.low_rank_part()),
+    }
 
 
 def _load_covariance(path: Path) -> SymMatrix:
@@ -382,68 +357,27 @@ def _load_covariance(path: Path) -> SymMatrix:
     return SymMatrix(arr)
 
 
-def cli_solve(args) -> int:
+def cli_solve(args) -> tuple[dict, dict]:
     """Solve the latent-variable problem on a covariance file."""
-    t0 = time.perf_counter()
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     sigma = _load_covariance(args.cov)
     problem = LvggProblem(sigma, args.lambda1, args.lambda2)
     result, records = solve_lvgg(problem, _solver_config(args))
     _write_result_files(args, result, records)
-    _finish_manifest(
-        out,
-        "solve",
-        config={
-            "lambda1": args.lambda1,
-            "lambda2": args.lambda2,
-            "mu": args.mu,
-            "eps": args.eps,
-            "max_iters": args.max_iters,
-            "format": args.format,
-            "telemetry": args.telemetry,
-        },
-        input_hashes={str(args.cov): _sha256(args.cov)},
-        seeds={},
-        t0=t0,
-        outputs={"converged": result.converged, "iters": result.iters},
-    )
-    return 0
+    return {}, {"converged": result.converged, "iters": result.iters}
 
 
-def cli_glasso(args) -> int:
+def cli_glasso(args) -> tuple[dict, dict]:
     """Solve the sparse-only problem on a covariance file."""
-    t0 = time.perf_counter()
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     sigma = _load_covariance(args.cov)
     problem = GlassoProblem(sigma, args.lam)
     result, records = solve_glasso(problem, _solver_config(args))
     _write_result_files(args, result, records)
-    _finish_manifest(
-        out,
-        "glasso",
-        config={
-            "lam": args.lam,
-            "mu": args.mu,
-            "eps": args.eps,
-            "max_iters": args.max_iters,
-            "format": args.format,
-            "telemetry": args.telemetry,
-        },
-        input_hashes={str(args.cov): _sha256(args.cov)},
-        seeds={},
-        t0=t0,
-        outputs={"converged": result.converged, "iters": result.iters},
-    )
-    return 0
+    return {}, {"converged": result.converged, "iters": result.iters}
 
 
-def cli_cv(args) -> int:
+def cli_cv(args) -> tuple[dict, dict]:
     """Cross-validate a penalty grid and score the winner on held-out rows."""
-    t0 = time.perf_counter()
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     if args.model == "lvgg" and args.grid2 is None:
         raise UsageError("--grid2 is required for --model lvgg")
     data = Dataset(read_matrix(args.data))
@@ -462,41 +396,20 @@ def cli_cv(args) -> int:
             l2 = "" if cell.lambda2 is None else f"{cell.lambda2:.17g}"
             score = "" if cell.mean_nloglike is None else f"{cell.mean_nloglike:.17g}"
             f.write(f"{cell.lambda1:.17g},{l2},{score},{int(cell.valid)}\n")
-    _finish_manifest(
-        out,
-        "cv",
-        config={
-            "model": args.model,
-            "grid1": list(args.grid1),
-            "grid2": list(args.grid2) if args.grid2 is not None else None,
-            "folds": args.folds,
-            "train_fraction": args.train_fraction,
-            "mu": args.mu,
-            "eps": args.eps,
-            "max_iters": args.max_iters,
-        },
-        input_hashes={str(args.data): _sha256(args.data)},
-        seeds={"split": args.seed},
-        t0=t0,
-        outputs={
-            "best_lambda1": report.best_lambda1,
-            "best_lambda2": report.best_lambda2,
-            "heldout_nloglike": report.heldout_nloglike,
-        },
-    )
-    return 0
+    return {"split": args.seed}, {
+        "best_lambda1": report.best_lambda1,
+        "best_lambda2": report.best_lambda2,
+        "heldout_nloglike": report.heldout_nloglike,
+    }
 
 
-def cli_bench(args) -> int:
+def cli_bench(args) -> tuple[dict, dict]:
     """Time the solver across instance sizes; emit (p, mean_seconds, iters) CSV.
 
     Each size gets a synthetic ground truth; the solver runs on the exact
     marginal covariance (no sampling noise) for a fixed small iteration
     budget, once per reference penalty pair, and wall times are averaged.
     """
-    t0 = time.perf_counter()
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     config = _solver_config(args)
     rows = []
     for p in args.sizes:
@@ -523,27 +436,11 @@ def cli_bench(args) -> int:
             times.append(result.wall_time)
             iters.append(result.iters)
         rows.append((p, float(np.mean(times)), float(np.mean(iters))))
-    with open(out / "bench.csv", "w") as f:
+    with open(args.out / "bench.csv", "w") as f:
         f.write("p,mean_seconds,iters\n")
         for p, secs, its in rows:
             f.write(f"{p},{secs:.6f},{its:g}\n")
-    _finish_manifest(
-        out,
-        "bench",
-        config={
-            "sizes": list(args.sizes),
-            "p_hidden": args.p_hidden,
-            "sparsity": args.sparsity,
-            "mu": args.mu,
-            "eps": args.eps,
-            "max_iters": args.max_iters,
-        },
-        input_hashes={},
-        seeds={"generate": args.seed},
-        t0=t0,
-        outputs={"rows": len(rows)},
-    )
-    return 0
+    return {"generate": args.seed}, {"rows": len(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        seeds, outputs = args.func(args)
+        _write_manifest(args, seeds, outputs, time.perf_counter() - t0)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -640,13 +541,11 @@ def main(argv=None) -> int:
             "message": str(exc),
             "command": args.command,
         }
-        out = getattr(args, "out", None)
-        if out is not None:
-            try:
-                Path(out).mkdir(parents=True, exist_ok=True)
-                _write_json(Path(out) / "error.json", diagnostic)
-            except OSError:
-                pass
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            _write_json(args.out / "error.json", diagnostic)
+        except OSError:
+            pass
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

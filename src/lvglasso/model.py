@@ -3,9 +3,7 @@
 Two estimation problems live here: the latent-variable model (sparse minus
 low-rank decomposition of the marginal precision) and the plain sparse
 baseline (graphical lasso). Both penalize the entrywise l1 norm *including*
-the diagonal, which is how the objectives are written; the common variant
-that exempts the diagonal is available as ``penalize_diag=False`` and is
-nonstandard here.
+the diagonal, which is how the objectives are written.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ class LvggProblem:
     sigma: SymMatrix
     lambda1: float
     lambda2: float
-    penalize_diag: bool = True
 
     def __post_init__(self):
         # Zero weights are legal for evaluating the objective; estimation
@@ -65,7 +62,6 @@ class GlassoProblem:
 
     sigma: SymMatrix
     lam: float
-    penalize_diag: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -95,10 +91,10 @@ class SolverConfig:
     rank_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.rank_tol < 0:
@@ -179,11 +175,8 @@ def offdiag_nnz(m: SymMatrix) -> int:
     return int(arr.sum() - np.diag(arr).sum())
 
 
-def _l1(arr: np.ndarray, include_diag: bool) -> float:
-    total = float(np.abs(arr).sum())
-    if not include_diag:
-        total -= float(np.abs(np.diag(arr)).sum())
-    return total
+def _l1(arr: np.ndarray) -> float:
+    return float(np.abs(arr).sum())
 
 
 def _logdet_pd(m: SymMatrix, what: str) -> float:
@@ -205,7 +198,7 @@ def eval_objective(problem: LvggProblem, a: SymMatrix, l: SymMatrix) -> float:
     """
     logdet = _logdet_pd(a, "a")
     trace_term = float((a.array * problem.sigma.array).sum())
-    l1_term = problem.lambda1 * _l1(a.array + l.array, problem.penalize_diag)
+    l1_term = problem.lambda1 * _l1(a.array + l.array)
     trace_l = problem.lambda2 * float(np.trace(l.array))
     return -logdet + trace_term + l1_term + trace_l
 
@@ -214,4 +207,4 @@ def eval_glasso_objective(problem: GlassoProblem, k: SymMatrix) -> float:
     """Sparse-baseline objective ``-log det K + tr(sigma K) + lam*||K||_1``."""
     logdet = _logdet_pd(k, "k")
     trace_term = float((k.array * problem.sigma.array).sum())
-    return -logdet + trace_term + problem.lam * _l1(k.array, problem.penalize_diag)
+    return -logdet + trace_term + problem.lam * _l1(k.array)

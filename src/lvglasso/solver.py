@@ -101,7 +101,7 @@ def sblvgg_step(
     objective = (
         -logdet
         + float((a.array * sigma).sum())
-        + problem.lambda1 * _l1(a.array + l_new.array, problem.penalize_diag)
+        + problem.lambda1 * _l1(a.array + l_new.array)
         + problem.lambda2 * float(np.trace(l_new.array))
     )
     if not math.isfinite(objective):
@@ -144,7 +144,7 @@ def _glasso_step(
     objective = (
         -logdet
         + float((a.array * sigma).sum())
-        + problem.lam * _l1(a.array, problem.penalize_diag)
+        + problem.lam * _l1(a.array)
     )
     if not math.isfinite(objective):
         raise DivergenceError(
@@ -305,8 +305,7 @@ def kkt_residual(problem: LvggProblem, result: SolverResult) -> float:
 
     (i) S-block stationarity: where ``S_ij != 0``,
         ``|G_ij - lambda1*sgn(S_ij)|``; where ``S_ij = 0``, the distance of
-        ``G_ij`` to ``[-lambda1, lambda1]`` (diagonal exempt when the
-        penalty exempts it). Max over entries.
+        ``G_ij`` to ``[-lambda1, lambda1]``. Max over entries.
     (ii) L-block: ``M = G + lambda2*I`` must be PSD and vanish on
         range(L); violations are ``max(0, -lambda_min(M))`` and the
         spectral norm of M compressed onto the range eigenvectors.
@@ -329,14 +328,11 @@ def kkt_residual(problem: LvggProblem, result: SolverResult) -> float:
 
     s = result.s_hat.array
     p = s.shape[0]
-    bound = np.full((p, p), problem.lambda1)
-    if not problem.penalize_diag:
-        np.fill_diagonal(bound, 0.0)
     nz = s != 0
     stat = np.where(
         nz,
-        np.abs(grad - bound * np.sign(s)),
-        np.maximum(np.abs(grad) - bound, 0.0),
+        np.abs(grad - problem.lambda1 * np.sign(s)),
+        np.maximum(np.abs(grad) - problem.lambda1, 0.0),
     )
     r_s = float(stat.max())
 

@@ -4,6 +4,7 @@ CLI commands are exercised in-process through ``main(argv)``; exit codes
 follow the documented contract (0 success, 1 numerical failure, 2 usage).
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -187,6 +188,18 @@ def test_solver_env_overrides(tmp_path, identity_cov, monkeypatch):
     assert config["eps"] == 1e-3
 
 
+@pytest.mark.parametrize("var", ["LVGLASSO_MU", "LVGLASSO_EPSILON"])
+@pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf"])
+def test_invalid_solver_env_is_usage_error(tmp_path, identity_cov, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--cov", str(identity_cov), "--lambda1", "0.1",
+              "--lambda2", "10", "--out", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # cv
 
@@ -277,3 +290,83 @@ def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# manifests
+
+SOLVER_DEFAULTS = {"mu": 0.01, "eps": 1e-4, "max_iters": 5000}
+
+
+def manifest_case(command, cov, samples):
+    """(argv without --out, config, seeds, input files) for one subcommand."""
+    return {
+        "generate": (
+            ["generate", "--p-obs", "12", "--p-hidden", "3", "--n-samples", "30",
+             "--seed", "7"],
+            {"p_obs": 12, "p_hidden": 3, "sparsity": 0.05, "cross_block_scale": 0.5,
+             "n_samples": 30, "format": "binary"},
+            {"generate": 7, "sample": 17},
+            [],
+        ),
+        "solve": (
+            ["solve", "--cov", str(cov), "--lambda1", "0.1", "--lambda2", "10",
+             "--mu", "0.1", "--eps", "1e-6", "--format", "csv"],
+            {"lambda1": 0.1, "lambda2": 10.0, "mu": 0.1, "eps": 1e-6,
+             "max_iters": 5000, "format": "csv", "telemetry": False},
+            {},
+            [cov],
+        ),
+        "glasso": (
+            ["glasso", "--cov", str(cov), "--lam", "0.1", "--telemetry"],
+            {"lam": 0.1, **SOLVER_DEFAULTS, "format": "binary", "telemetry": True},
+            {},
+            [cov],
+        ),
+        "cv": (
+            ["cv", "--data", str(samples), "--model", "lvgg", "--grid1", "0.1,0.2",
+             "--grid2", "0.3", "--folds", "2", "--seed", "9", "--mu", "0.05"],
+            {"model": "lvgg", "grid1": [0.1, 0.2], "grid2": [0.3], "folds": 2,
+             "train_fraction": 2.0 / 3.0, "mu": 0.05, "eps": 1e-4, "max_iters": 5000},
+            {"split": 9},
+            [samples],
+        ),
+        "bench": (
+            ["bench", "--sizes", "20", "--p-hidden", "4", "--seed", "2",
+             "--max-iters", "3"],
+            {"sizes": [20], "p_hidden": 4, "sparsity": 0.05, "mu": 0.01, "eps": 1e-4,
+             "max_iters": 3},
+            {"generate": 2},
+            [],
+        ),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "glasso", "cv", "bench"])
+def test_manifest_records_every_flag(tmp_path, identity_cov, samples_file,
+                                     monkeypatch, command):
+    monkeypatch.delenv("LVGLASSO_MU", raising=False)
+    monkeypatch.delenv("LVGLASSO_EPSILON", raising=False)
+    argv, config, seeds, inputs = manifest_case(command, identity_cov, samples_file)
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = read_json(out / "manifest.json")
+    assert manifest["command"] == command
+    assert manifest["config"] == config
+    assert manifest["seeds"] == seeds
+    assert manifest["input_hashes"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs
+    }
+
+
+def test_failed_runs_write_no_manifest(tmp_path, samples_file):
+    bad = tmp_path / "bad.npy"
+    write_matrix(bad, np.zeros((3, 2)))
+    numeric, usage = tmp_path / "numeric", tmp_path / "usage"
+    assert main(["solve", "--cov", str(bad), "--lambda1", "0.1",
+                 "--lambda2", "0.2", "--out", str(numeric)]) == 1
+    assert main(["cv", "--data", str(samples_file), "--model", "lvgg",
+                 "--grid1", "0.1", "--out", str(usage)]) == 2
+    assert (numeric / "error.json").exists()
+    assert not (numeric / "manifest.json").exists()
+    assert not (usage / "manifest.json").exists()

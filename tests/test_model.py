@@ -33,7 +33,6 @@ def random_spd(p, rng, rows=None):
 def test_lvgg_problem_accepts_valid_input():
     prob = LvggProblem(SymMatrix.identity(3), 0.1, 0.2)
     assert prob.lambda1 == 0.1 and prob.lambda2 == 0.2
-    assert prob.penalize_diag is True
 
 
 def test_lvgg_problem_rejects_negative_weights():
@@ -70,6 +69,12 @@ def test_solver_config_defaults_and_validation():
         SolverConfig(mu=0.0)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
+    # non-finite values would stop after two sweeps or fail as a divergence
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(mu=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(epsilon=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
@@ -159,16 +164,6 @@ def test_eval_objective_rejects_non_pd():
         eval_objective(prob, SymMatrix(np.diag([1.0, -1.0])), SymMatrix.zeros(2))
     with pytest.raises(NotPositiveDefiniteError):
         eval_objective(prob, SymMatrix(np.diag([1.0, 0.0])), SymMatrix.zeros(2))
-
-
-def test_eval_objective_penalize_diag_flag():
-    # with the diagonal exempt, the l1 term drops the diagonal mass
-    sigma = SymMatrix.identity(2)
-    a = SymMatrix([[2.0, 0.5], [0.5, 2.0]])
-    l = SymMatrix.zeros(2)
-    full = eval_objective(LvggProblem(sigma, 1.0, 0.0), a, l)
-    off = eval_objective(LvggProblem(sigma, 1.0, 0.0, penalize_diag=False), a, l)
-    assert abs(full - off - 4.0) < 1e-12  # diagonal contributes 2+2
 
 
 def test_eval_objective_strictly_convex_on_random_pairs():
