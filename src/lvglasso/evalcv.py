@@ -9,6 +9,7 @@ recorded. Everything is deterministic given (data, plan, config).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class CvPlan:
             grid = tuple(float(v) for v in getattr(self, name))
             if not grid:
                 raise ValueError(f"{name} must be nonempty")
-            if any(v <= 0 for v in grid):
-                raise ValueError(f"{name} values must be positive, got {grid}")
+            if not all(0 < v < math.inf for v in grid):
+                raise ValueError(f"{name} values must be positive and finite, got {grid}")
             object.__setattr__(self, name, tuple(sorted(grid)))
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")

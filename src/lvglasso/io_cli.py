@@ -124,6 +124,8 @@ def read_matrix(path) -> np.ndarray:
         arr = np.load(path)
         if arr.ndim != 2:
             raise ValueError(f"{path}: expected a 2-D matrix, got ndim={arr.ndim}")
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"{path}: expected a real matrix, got dtype {arr.dtype}")
         return np.asarray(arr, dtype=np.float64)
     with open(path) as f:
         first = f.readline()
@@ -237,14 +239,9 @@ def _unit_open_float(text: str) -> float:
 
 
 def _grid(text: str) -> tuple:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated real list: {text!r}")
+    values = tuple(_positive_float(tok) for tok in text.split(",") if tok.strip() != "")
     if not values:
         raise argparse.ArgumentTypeError("grid must be nonempty")
-    if any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(f"grid values must be positive: {text!r}")
     return values
 
 

@@ -28,6 +28,14 @@ __all__ = [
     "offdiag_nnz",
 ]
 
+# Relative eigenvalue cutoff for counting rank(L).
+RANK_TOL = 1e-10
+
+
+def _check_weight(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
 
 @dataclass(frozen=True)
 class LvggProblem:
@@ -44,10 +52,8 @@ class LvggProblem:
     def __post_init__(self):
         # Zero weights are legal for evaluating the objective; estimation
         # proper wants both strictly positive.
-        if self.lambda1 < 0:
-            raise ValueError(f"lambda1 must be nonnegative, got {self.lambda1}")
-        if self.lambda2 < 0:
-            raise ValueError(f"lambda2 must be nonnegative, got {self.lambda2}")
+        _check_weight("lambda1", self.lambda1)
+        _check_weight("lambda2", self.lambda2)
         if np.any(np.diag(self.sigma.array) < 0):
             raise ValueError("covariance diagonal must be nonnegative")
 
@@ -64,8 +70,7 @@ class GlassoProblem:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        _check_weight("lam", self.lam)
         if np.any(np.diag(self.sigma.array) < 0):
             raise ValueError("covariance diagonal must be nonnegative")
 
@@ -81,14 +86,12 @@ class SolverConfig:
     mu is the augmented-Lagrangian penalty / dual step size (convergence
     holds for any mu > 0; it only affects speed). epsilon is the stopping
     tolerance applied to both the relative objective change and the primal
-    residual. rank_tol is the relative eigenvalue cutoff used when reporting
-    rank(L).
+    residual.
     """
 
     mu: float = 0.01
     epsilon: float = 1e-4
     max_iters: int = 5000
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
@@ -97,8 +100,6 @@ class SolverConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rank_tol < 0:
-            raise ValueError(f"rank_tol must be nonnegative, got {self.rank_tol}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ class SolverState:
 class SolverResult:
     """Converged estimates and structure/iteration summaries.
 
-    rank_l counts eigenvalues of l_hat above ``rank_tol * max(1,
+    rank_l counts eigenvalues of l_hat above ``RANK_TOL * max(1,
     lambda_max(l_hat))``; nnz_offdiag_s counts exactly-nonzero off-diagonal
     entries of s_hat and sparse_ratio_s divides by ``p*(p-1)``.
     """
@@ -162,10 +163,10 @@ class SolverResult:
         }
 
 
-def psd_rank(m: SymMatrix, rank_tol: float = 1e-10) -> int:
-    """Eigenvalue count above ``rank_tol * max(1, lambda_max)``."""
+def psd_rank(m: SymMatrix) -> int:
+    """Eigenvalue count above ``RANK_TOL * max(1, lambda_max)``."""
     w = np.linalg.eigvalsh(m.array)
-    cutoff = rank_tol * max(1.0, float(w[-1]))
+    cutoff = RANK_TOL * max(1.0, float(w[-1]))
     return int(np.count_nonzero(w > cutoff))
 
 

@@ -4,7 +4,8 @@ One sweep of the latent-variable iteration performs four sequential block
 updates on the quadruple (A, S, L, U): a closed-form positive-definite
 A-update, an elementwise soft-threshold S-update, a spectral trace-shrink
 L-update, and a dual ascent step on the constraint A = S - L. The
-sparse-only baseline runs the same splitting with the L-block removed.
+sparse-only baseline (graphical lasso) runs the same sweep and driver with
+L held at zero: its L-update and trace penalty are skipped.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import DivergenceError, NotPositiveDefiniteError
 from .model import (
+    RANK_TOL,
     GlassoProblem,
     LvggProblem,
     SolverConfig,
@@ -78,18 +80,31 @@ def sblvgg_step(
     eigendecompositions, not three. A non-finite iterate or objective
     raises DivergenceError carrying the last finite state.
     """
-    mu = config.mu
-    sigma = problem.sigma.array
+    return _sweep(state, problem.sigma.array, problem.lambda1, problem.lambda2, config.mu)
+
+
+def _sweep(
+    state: SolverState,
+    sigma: np.ndarray,
+    lambda1: float,
+    lambda2: float | None,
+    mu: float,
+) -> SolverState:
+    # The sweep of both models. lambda2=None is the graphical lasso: the
+    # L-update and the trace term are skipped, so L keeps its starting zero
+    # and every "+ l" below adds an exact zero.
     s, l, u = state.s.array, state.l.array, state.u.array
     try:
         k = SymMatrix(mu * (s - l) - sigma - u)
         dec = eig_sym(k)
         a_eigs = sqrt_update_eigenvalues(dec.eigenvalues, mu)
         a = eigen_reconstruct(dec.eigenvectors, a_eigs)
-        s_new = soft_threshold(SymMatrix(a.array + l + u / mu), problem.lambda1 / mu)
-        l_new = psd_trace_shrink(
-            SymMatrix(s_new.array - a.array - u / mu), problem.lambda2 / mu
-        )
+        s_new = soft_threshold(SymMatrix(a.array + l + u / mu), lambda1 / mu)
+        l_new = state.l
+        if lambda2 is not None:
+            l_new = psd_trace_shrink(
+                SymMatrix(s_new.array - a.array - u / mu), lambda2 / mu
+            )
         gap = a.array - s_new.array + l_new.array
         u_new = SymMatrix(u + mu * gap)
     except ValueError as exc:
@@ -101,9 +116,10 @@ def sblvgg_step(
     objective = (
         -logdet
         + float((a.array * sigma).sum())
-        + problem.lambda1 * _l1(a.array + l_new.array)
-        + problem.lambda2 * float(np.trace(l_new.array))
+        + lambda1 * _l1(a.array + l_new.array)
     )
+    if lambda2 is not None:
+        objective += lambda2 * float(np.trace(l_new.array))
     if not math.isfinite(objective):
         raise DivergenceError(
             f"objective diverged to {objective} at iteration {state.iter + 1}",
@@ -113,48 +129,6 @@ def sblvgg_step(
         a=a,
         s=s_new,
         l=l_new,
-        u=u_new,
-        iter=state.iter + 1,
-        last_objective=objective,
-        primal_residual=float(np.linalg.norm(gap)),
-    )
-
-
-def _glasso_step(
-    state: SolverState, problem: GlassoProblem, config: SolverConfig
-) -> SolverState:
-    # Same splitting with the L-block removed (L stays identically zero).
-    mu = config.mu
-    sigma = problem.sigma.array
-    s, u = state.s.array, state.u.array
-    try:
-        k = SymMatrix(mu * s - sigma - u)
-        dec = eig_sym(k)
-        a_eigs = sqrt_update_eigenvalues(dec.eigenvalues, mu)
-        a = eigen_reconstruct(dec.eigenvectors, a_eigs)
-        s_new = soft_threshold(SymMatrix(a.array + u / mu), problem.lam / mu)
-        gap = a.array - s_new.array
-        u_new = SymMatrix(u + mu * gap)
-    except ValueError as exc:
-        raise DivergenceError(
-            f"non-finite iterate at iteration {state.iter + 1}: {exc}", state=state
-        ) from exc
-    with np.errstate(divide="ignore"):
-        logdet = float(np.log(a_eigs).sum())
-    objective = (
-        -logdet
-        + float((a.array * sigma).sum())
-        + problem.lam * _l1(a.array)
-    )
-    if not math.isfinite(objective):
-        raise DivergenceError(
-            f"objective diverged to {objective} at iteration {state.iter + 1}",
-            state=state,
-        )
-    return SolverState(
-        a=a,
-        s=s_new,
-        l=state.l,
         u=u_new,
         iter=state.iter + 1,
         last_objective=objective,
@@ -182,40 +156,49 @@ def _default_init(dim: int) -> SolverState:
     return SolverState(a=eye, s=eye, l=zero, u=zero)
 
 
-def _iterate(
+def _solve(
     step: Callable[[SolverState], SolverState],
     state: SolverState,
     config: SolverConfig,
-) -> tuple[SolverState, list[IterationRecord], bool]:
-    start = time.perf_counter()
+    summarize: Callable[[SolverState], tuple[float, int]],
+) -> tuple[SolverResult, list[IterationRecord]]:
+    # Shared driver: sweep until check_stop fires or max_iters elapse, then
+    # assemble the result; summarize(state) gives (objective, rank_l).
+    t0 = time.perf_counter()
     records: list[IterationRecord] = []
-    prev: IterationRecord | None = None
     converged = False
     for _ in range(config.max_iters):
         new_state = step(state)
         rel = abs(new_state.last_objective - state.last_objective) / max(
             1.0, abs(new_state.last_objective)
         )
-        record = IterationRecord(
+        records.append(IterationRecord(
             iter=new_state.iter,
             objective=new_state.last_objective,
             primal_residual=new_state.primal_residual,
             rel_obj_change=rel,
-            wall_time_cumulative=time.perf_counter() - start,
-        )
-        records.append(record)
+            wall_time_cumulative=time.perf_counter() - t0,
+        ))
         state = new_state
-        if prev is not None and check_stop(prev, record, state, config.epsilon):
+        if len(records) > 1 and check_stop(*records[-2:], state, config.epsilon):
             converged = True
             break
-        prev = record
-    return state, records, converged
-
-
-def _summaries(s_hat: SymMatrix) -> tuple[int, float]:
-    nnz = offdiag_nnz(s_hat)
-    p = s_hat.dim
-    return nnz, (nnz / (p * (p - 1)) if p > 1 else 0.0)
+    objective, rank_l = summarize(state)
+    nnz = offdiag_nnz(state.s)
+    p = state.dim
+    return SolverResult(
+        s_hat=state.s,
+        l_hat=state.l,
+        a_hat=state.a,
+        objective=objective,
+        rank_l=rank_l,
+        nnz_offdiag_s=nnz,
+        sparse_ratio_s=nnz / (p * (p - 1)) if p > 1 else 0.0,
+        iters=len(records),
+        converged=converged,
+        primal_residual=state.primal_residual,
+        wall_time=time.perf_counter() - t0,
+    ), records
 
 
 def solve_lvgg(
@@ -240,26 +223,12 @@ def solve_lvgg(
     """
     if config is None:
         config = SolverConfig()
-    state = init if init is not None else _default_init(problem.dim)
-    t0 = time.perf_counter()
-    state, records, converged = _iterate(
-        lambda st: sblvgg_step(st, problem, config), state, config
+    return _solve(
+        lambda st: sblvgg_step(st, problem, config),
+        init if init is not None else _default_init(problem.dim),
+        config,
+        lambda st: (eval_objective(problem, st.a, st.l), psd_rank(st.l)),
     )
-    nnz, ratio = _summaries(state.s)
-    result = SolverResult(
-        s_hat=state.s,
-        l_hat=state.l,
-        a_hat=state.a,
-        objective=eval_objective(problem, state.a, state.l),
-        rank_l=psd_rank(state.l, config.rank_tol),
-        nnz_offdiag_s=nnz,
-        sparse_ratio_s=ratio,
-        iters=len(records),
-        converged=converged,
-        primal_residual=state.primal_residual,
-        wall_time=time.perf_counter() - t0,
-    )
-    return result, records
 
 
 def solve_glasso(
@@ -267,34 +236,20 @@ def solve_glasso(
 ) -> tuple[SolverResult, list[IterationRecord]]:
     """Estimate a sparse precision matrix (no latent part).
 
-    Same splitting as `solve_lvgg` with the L-update and trace penalty
-    removed; the result's ``l_hat`` is zero and ``rank_l = 0`` by
-    construction. ``s_hat`` carries the thresholded (exactly sparse)
-    iterate, ``a_hat`` the smooth one; at convergence they agree to the
-    stopping tolerance.
+    Runs the same sweep and driver as `solve_lvgg` with L held at zero: the
+    L-update and the trace penalty are skipped, so the result's ``l_hat``
+    is zero and ``rank_l = 0`` by construction. ``s_hat`` carries the
+    thresholded (exactly sparse) iterate, ``a_hat`` the smooth one; at
+    convergence they agree to the stopping tolerance.
     """
     if config is None:
         config = SolverConfig()
-    state = _default_init(problem.dim)
-    t0 = time.perf_counter()
-    state, records, converged = _iterate(
-        lambda st: _glasso_step(st, problem, config), state, config
+    return _solve(
+        lambda st: _sweep(st, problem.sigma.array, problem.lam, None, config.mu),
+        _default_init(problem.dim),
+        config,
+        lambda st: (eval_glasso_objective(problem, st.a), 0),
     )
-    nnz, ratio = _summaries(state.s)
-    result = SolverResult(
-        s_hat=state.s,
-        l_hat=state.l,
-        a_hat=state.a,
-        objective=eval_glasso_objective(problem, state.a),
-        rank_l=0,
-        nnz_offdiag_s=nnz,
-        sparse_ratio_s=ratio,
-        iters=len(records),
-        converged=converged,
-        primal_residual=state.primal_residual,
-        wall_time=time.perf_counter() - t0,
-    )
-    return result, records
 
 
 def kkt_residual(problem: LvggProblem, result: SolverResult) -> float:
@@ -340,7 +295,7 @@ def kkt_residual(problem: LvggProblem, result: SolverResult) -> float:
     m = (m + m.T) / 2.0
     dec_l = eig_sym(result.l_hat)
     wl = dec_l.eigenvalues
-    cutoff = 1e-10 * max(1.0, float(wl[-1]))
+    cutoff = RANK_TOL * max(1.0, float(wl[-1]))
     range_vecs = dec_l.eigenvectors[:, wl > cutoff]
     wm = np.linalg.eigvalsh(m)
     r_l = float(max(0.0, -wm[0]))

@@ -79,6 +79,11 @@ def test_cv_plan_validation():
         CvPlan((0.1,), ())
     with pytest.raises(ValueError):
         CvPlan((0.0,), (0.2,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CvPlan((0.1, bad), (0.2,))
+        with pytest.raises(ValueError):
+            CvPlan((0.1,), (bad,))
     with pytest.raises(ValueError):
         CvPlan((0.1,), (0.2,), folds=1)
     with pytest.raises(ValueError):

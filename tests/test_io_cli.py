@@ -77,6 +77,26 @@ def test_read_matrix_rejects_non_2d(tmp_path):
         read_matrix(tmp_path / "vec.npy")
 
 
+def test_read_matrix_accepts_integer_and_bool_payloads(tmp_path):
+    np.save(tmp_path / "i.npy", np.eye(3, dtype=np.int32))
+    np.save(tmp_path / "b.npy", np.eye(3, dtype=bool))
+    assert np.array_equal(read_matrix(tmp_path / "i.npy"), np.eye(3))
+    assert np.array_equal(read_matrix(tmp_path / "b.npy"), np.eye(3))
+
+
+def test_complex_input_is_refused_not_truncated(tmp_path):
+    # casting would silently drop the imaginary part
+    cov = tmp_path / "cov.npy"
+    np.save(cov, np.eye(3) + 1j * np.eye(3))
+    with pytest.raises(ValueError):
+        read_matrix(cov)
+    out = tmp_path / "run"
+    assert main(["solve", "--cov", str(cov), "--lambda1", "0.1",
+                 "--lambda2", "0.2", "--out", str(out)]) == 1
+    assert read_json(out / "error.json")["error"] == "ValueError"
+    assert not (out / "s_hat.npy").exists()
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -230,6 +250,19 @@ def test_cv_command_writes_report_and_grid(tmp_path, samples_file):
     grid_lines = (out / "grid.csv").read_text().splitlines()
     assert grid_lines[0] == "lambda1,lambda2,mean_nloglike,valid"
     assert len(grid_lines) == 3  # header + one row per cell
+
+
+@pytest.mark.parametrize("grid", ["nan", "0.05,nan", "inf", "0.1,-inf", "0", "0.1,abc", ","])
+@pytest.mark.parametrize("flag", ["--grid1", "--grid2"])
+def test_cv_non_finite_grid_is_usage_error(tmp_path, samples_file, flag, grid):
+    grids = {"--grid1": "0.1", "--grid2": "0.3", flag: grid}
+    out = tmp_path / "cv"
+    with pytest.raises(SystemExit) as info:
+        main(["cv", "--data", str(samples_file), "--model", "lvgg",
+              "--grid1", grids["--grid1"], "--grid2", grids["--grid2"],
+              "--folds", "2", "--out", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
 
 
 def test_cv_lvgg_requires_grid2(tmp_path, samples_file):

@@ -134,10 +134,14 @@ def test_step_preserves_cone_memberships():
 def test_step_raises_divergence_with_state_attached():
     # absurd covariance scale drives the A-update eigenvalues to zero and the
     # objective to +inf; the solver must fail loudly, not return garbage
-    prob = LvggProblem(SymMatrix(1e160 * np.eye(2)), 0.1, 0.2)
-    with pytest.raises(DivergenceError) as info:
-        solve_lvgg(prob, SolverConfig())
-    assert info.value.state is not None
+    sigma = SymMatrix(1e160 * np.eye(2))
+    for solve in (
+        lambda: solve_lvgg(LvggProblem(sigma, 0.1, 0.2), SolverConfig()),
+        lambda: solve_glasso(GlassoProblem(sigma, 0.1), SolverConfig()),
+    ):
+        with pytest.raises(DivergenceError) as info:
+            solve()
+        assert info.value.state is not None
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +302,46 @@ def test_glasso_matches_self_oracle():
     oracle, _ = solve_glasso(prob, SolverConfig(mu=0.05, epsilon=1e-10, max_iters=200000))
     rel = abs(res.objective - oracle.objective) / max(1.0, abs(oracle.objective))
     assert rel < 1e-6
+
+
+def transliterated_glasso_step(sigma, s, u, lam, mu):
+    """Straight-line two-block sweep (A-update, S-update, dual step)."""
+    k = mu * s - sigma - u
+    k = (k + k.T) / 2.0
+    w, v = np.linalg.eigh(k)
+    a_eigs = (w + np.sqrt(w * w + 4.0 * mu)) / (2.0 * mu)
+    a = v @ np.diag(a_eigs) @ v.T
+    a = (a + a.T) / 2.0
+    arg_s = a + u / mu
+    s_new = np.sign(arg_s) * np.maximum(np.abs(arg_s) - lam / mu, 0.0)
+    u_new = u + mu * (a - s_new)
+    objective = (
+        -np.log(a_eigs).sum() + (a * sigma).sum() + lam * np.abs(a).sum()
+    )
+    return a, s_new, u_new, objective
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+def test_glasso_matches_transliterated_reference(sweeps):
+    # solve_glasso runs the latent-variable sweep with L held at zero; its
+    # first sweeps must equal the plain two-block glasso iteration
+    rng = np.random.default_rng(21)
+    sigma = wishart_sigma(5, rng)
+    lam, mu = 0.15, 0.3
+    res, records = solve_glasso(
+        GlassoProblem(sigma, lam), SolverConfig(mu=mu, max_iters=sweeps)
+    )
+    s, u = np.eye(5), np.zeros((5, 5))
+    for i in range(sweeps):
+        a, s_next, u, objective = transliterated_glasso_step(sigma.array, s, u, lam, mu)
+        assert abs(records[i].objective - objective) <= 1e-12 * max(1.0, abs(objective))
+        assert abs(records[i].primal_residual - np.linalg.norm(a - s_next)) <= 1e-12
+        s = s_next
+    assert res.iters == sweeps
+    assert np.allclose(res.a_hat.array, a, atol=1e-12)
+    assert np.allclose(res.s_hat.array, s, atol=1e-12)
+    assert np.array_equal(res.l_hat.array, np.zeros((5, 5)))
+    assert res.rank_l == 0
 
 
 def test_lvgg_reduces_to_glasso_for_huge_lambda2():
