@@ -260,7 +260,8 @@ def _add_solver_flags(sub: argparse.ArgumentParser, max_iters_default: int = 500
         "--mu",
         type=_positive_float,
         default=os.environ.get("LVGLASSO_MU") or "0.01",
-        help="dual step size / quadratic penalty weight (env: LVGLASSO_MU)",
+        help="starting dual step size / quadratic penalty weight, adapted by "
+        "residual balancing a bounded number of times (env: LVGLASSO_MU)",
     )
     sub.add_argument(
         "--eps",
@@ -315,6 +316,7 @@ def _write_result_files(args, result, records) -> None:
                         r.rel_obj_change if math.isfinite(r.rel_obj_change) else None
                     ),
                     "wall_time_cumulative": r.wall_time_cumulative,
+                    "mu": r.mu,
                 }
                 f.write(json.dumps(row, sort_keys=True) + "\n")
 

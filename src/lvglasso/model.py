@@ -83,10 +83,11 @@ class GlassoProblem:
 class SolverConfig:
     """Iteration parameters.
 
-    mu is the augmented-Lagrangian penalty / dual step size (convergence
-    holds for any mu > 0; it only affects speed). epsilon is the stopping
-    tolerance applied to both the relative objective change and the primal
-    residual.
+    mu is the starting augmented-Lagrangian penalty / dual step size. The
+    solvers adapt it by residual balancing, with a bounded number of
+    changes after which it stays fixed (convergence holds for any starting
+    mu > 0; it only affects speed). epsilon is the stopping tolerance
+    applied to both the relative objective change and the primal residual.
     """
 
     mu: float = 0.01

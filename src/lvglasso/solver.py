@@ -6,13 +6,20 @@ A-update, an elementwise soft-threshold S-update, a spectral trace-shrink
 L-update, and a dual ascent step on the constraint A = S - L. The
 sparse-only baseline (graphical lasso) runs the same sweep and driver with
 L held at zero: its L-update and trace penalty are skipped.
+
+The penalty mu is adapted by residual balancing in the shared driver:
+``SolverConfig.mu`` is the starting value, and after each sweep mu is
+doubled or halved when the primal and dual residuals are far apart. After
+a bounded number of changes mu stays fixed, so every run ends in the
+paper's fixed-penalty iteration. The per-sweep primitive `sblvgg_step`
+always uses the ``mu`` of the config it is given.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -49,16 +56,27 @@ __all__ = [
     "kkt_residual",
 ]
 
+# Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, section 3.4.1):
+# after a sweep, mu is multiplied by _MU_FACTOR when the primal residual
+# exceeds _MU_RATIO times the dual residual and divided by it in the reverse
+# case. After _MU_MAX_CHANGES changes mu stays fixed, so the tail of every
+# run is the fixed-penalty iteration and its convergence guarantee applies.
+_MU_RATIO = 10.0
+_MU_FACTOR = 2.0
+_MU_MAX_CHANGES = 10
+
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Telemetry for one sweep: objective, residual, cumulative wall time."""
+    """Telemetry for one sweep: objective, residual, cumulative wall time,
+    and the penalty mu the sweep used."""
 
     iter: int
     objective: float
     primal_residual: float
     rel_obj_change: float
     wall_time_cumulative: float
+    mu: float
 
     def __post_init__(self):
         if self.primal_residual < 0:
@@ -68,7 +86,8 @@ class IterationRecord:
 def sblvgg_step(
     state: SolverState, problem: LvggProblem, config: SolverConfig
 ) -> SolverState:
-    """One four-block sweep of the latent-variable iteration.
+    """One four-block sweep of the latent-variable iteration at fixed
+    ``config.mu``.
 
     In order: A solves ``-A^{-1} - K + mu*A = 0`` with
     ``K = mu*(S - L) - sigma - U``; S soft-thresholds ``A + L + U/mu`` at
@@ -144,8 +163,20 @@ def check_stop(
     The relative change is ``|obj_curr - obj_prev| / max(1, |obj_curr|)``;
     both criteria must hold (conjunction).
     """
-    rel = abs(curr.objective - prev.objective) / max(1.0, abs(curr.objective))
+    rel = _rel_change(prev.objective, curr.objective)
     return rel < epsilon and state.primal_residual < epsilon
+
+
+def _rel_change(prev: float, curr: float) -> float:
+    return abs(curr - prev) / max(1.0, abs(curr))
+
+
+def _balanced_mu(mu: float, primal: float, dual: float) -> float:
+    if primal > _MU_RATIO * dual:
+        return mu * _MU_FACTOR
+    if dual > _MU_RATIO * primal:
+        return mu / _MU_FACTOR
+    return mu
 
 
 def _default_init(dim: int) -> SolverState:
@@ -157,32 +188,41 @@ def _default_init(dim: int) -> SolverState:
 
 
 def _solve(
-    step: Callable[[SolverState], SolverState],
+    step: Callable[[SolverState, SolverConfig], SolverState],
     state: SolverState,
     config: SolverConfig,
     summarize: Callable[[SolverState], tuple[float, int]],
 ) -> tuple[SolverResult, list[IterationRecord]]:
     # Shared driver: sweep until check_stop fires or max_iters elapse, then
     # assemble the result; summarize(state) gives (objective, rank_l).
+    # step(state, config) sweeps at config.mu; config is rebuilt only when
+    # residual balancing changes mu.
     t0 = time.perf_counter()
     records: list[IterationRecord] = []
     converged = False
+    mu_changes = 0
     for _ in range(config.max_iters):
-        new_state = step(state)
-        rel = abs(new_state.last_objective - state.last_objective) / max(
-            1.0, abs(new_state.last_objective)
-        )
+        prev, state = state, step(state, config)
         records.append(IterationRecord(
-            iter=new_state.iter,
-            objective=new_state.last_objective,
-            primal_residual=new_state.primal_residual,
-            rel_obj_change=rel,
+            iter=state.iter,
+            objective=state.last_objective,
+            primal_residual=state.primal_residual,
+            rel_obj_change=_rel_change(prev.last_objective, state.last_objective),
             wall_time_cumulative=time.perf_counter() - t0,
+            mu=config.mu,
         ))
-        state = new_state
         if len(records) > 1 and check_stop(*records[-2:], state, config.epsilon):
             converged = True
             break
+        if mu_changes < _MU_MAX_CHANGES:
+            # dual residual: mu * ||(S - L)_k - (S - L)_{k-1}||_F
+            dual = config.mu * float(np.linalg.norm(
+                (state.s.array - prev.s.array) - (state.l.array - prev.l.array)
+            ))
+            mu = _balanced_mu(config.mu, state.primal_residual, dual)
+            if mu != config.mu:
+                config = replace(config, mu=mu)
+                mu_changes += 1
     objective, rank_l = summarize(state)
     nnz = offdiag_nnz(state.s)
     p = state.dim
@@ -209,9 +249,12 @@ def solve_lvgg(
     """Estimate the sparse-minus-low-rank precision decomposition.
 
     Runs `sblvgg_step` from ``S = I, L = 0, U = 0`` (or ``init``) until
-    `check_stop` fires or ``config.max_iters`` sweeps elapse. Hitting the
-    cap is reported via ``converged=False`` in the result, not an
-    exception; DivergenceError propagates.
+    `check_stop` fires or ``config.max_iters`` sweeps elapse. ``config.mu``
+    is the starting penalty: after each sweep it is doubled or halved when
+    the primal and dual residuals are far apart, at most a fixed number of
+    times, after which it stays fixed. Hitting the cap is reported via
+    ``converged=False`` in the result, not an exception; DivergenceError
+    propagates.
 
     Returns
     -------
@@ -219,12 +262,12 @@ def solve_lvgg(
         Final estimates with rank/sparsity summaries; ``objective`` is
         re-evaluated at (a_hat, l_hat).
     records : list of IterationRecord
-        One telemetry row per sweep performed.
+        One telemetry row per sweep performed, with the mu it used.
     """
     if config is None:
         config = SolverConfig()
     return _solve(
-        lambda st: sblvgg_step(st, problem, config),
+        lambda st, cfg: sblvgg_step(st, problem, cfg),
         init if init is not None else _default_init(problem.dim),
         config,
         lambda st: (eval_objective(problem, st.a, st.l), psd_rank(st.l)),
@@ -238,14 +281,15 @@ def solve_glasso(
 
     Runs the same sweep and driver as `solve_lvgg` with L held at zero: the
     L-update and the trace penalty are skipped, so the result's ``l_hat``
-    is zero and ``rank_l = 0`` by construction. ``s_hat`` carries the
-    thresholded (exactly sparse) iterate, ``a_hat`` the smooth one; at
-    convergence they agree to the stopping tolerance.
+    is zero and ``rank_l = 0`` by construction. ``config.mu`` is the
+    starting penalty, adapted by the same bounded schedule. ``s_hat``
+    carries the thresholded (exactly sparse) iterate, ``a_hat`` the smooth
+    one; at convergence they agree to the stopping tolerance.
     """
     if config is None:
         config = SolverConfig()
     return _solve(
-        lambda st: _sweep(st, problem.sigma.array, problem.lam, None, config.mu),
+        lambda st, cfg: _sweep(st, problem.sigma.array, problem.lam, None, cfg.mu),
         _default_init(problem.dim),
         config,
         lambda st: (eval_glasso_objective(problem, st.a), 0),

@@ -6,11 +6,17 @@ follow the documented contract (0 success, 1 numerical failure, 2 usage).
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lvglasso
 from lvglasso import SymMatrix, main, read_matrix, write_matrix
+from lvglasso.solver import _MU_MAX_CHANGES
 
 
 def read_json(path):
@@ -163,10 +169,13 @@ def test_solve_identity_fixture(tmp_path, identity_cov):
     assert manifest["command"] == "solve"
     assert len(manifest["input_hashes"]) == 1
 
-    lines = (out / "telemetry.ndjson").read_text().splitlines()
-    iters = [json.loads(line)["iter"] for line in lines]
+    rows = [json.loads(line) for line in (out / "telemetry.ndjson").read_text().splitlines()]
+    iters = [row["iter"] for row in rows]
     assert iters == list(range(1, len(iters) + 1))
     assert len(iters) == result["iters"]
+    # --mu is the starting penalty; the schedule changes it a bounded number of times
+    assert rows[0]["mu"] == 0.1
+    assert len({row["mu"] for row in rows}) <= _MU_MAX_CHANGES + 1
 
 
 def test_solve_missing_cov_flag_is_usage_error(tmp_path):
@@ -317,6 +326,17 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+def test_python_m_lvglasso_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(lvglasso.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lvglasso", "--version"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("lvglasso ")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_no_command_is_usage_error():

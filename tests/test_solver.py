@@ -155,6 +155,7 @@ def record(it, objective, residual):
         primal_residual=residual,
         rel_obj_change=math.inf,
         wall_time_cumulative=0.0,
+        mu=1.0,
     )
 
 
@@ -274,6 +275,58 @@ def test_solve_respects_custom_init():
     assert rel < 1e-6  # same optimum from a different start
 
 
+def fixed_penalty_run(sweep, dim, epsilon, sweeps):
+    """Loop the fixed-penalty sweep from the solvers' default start.
+
+    Returns (stopped, state): whether check_stop fired within ``sweeps``
+    sweeps, and the last state.
+    """
+    state = SolverState(
+        a=SymMatrix.identity(dim), s=SymMatrix.identity(dim),
+        l=SymMatrix.zeros(dim), u=SymMatrix.zeros(dim),
+    )
+    prev = None
+    for k in range(1, sweeps + 1):
+        state = sweep(state)
+        curr = record(k, state.last_objective, state.primal_residual)
+        if prev is not None and check_stop(prev, curr, state, epsilon):
+            return True, state
+        prev = curr
+    return False, state
+
+
+def test_solve_balanced_mu_needs_half_the_fixed_sweeps():
+    # residual balancing moves mu away from a too-small start; the driver
+    # must beat the paper's fixed-penalty loop by 2x (that loop may not stop
+    # within 2*iters - 1 sweeps) and still certify
+    rng = np.random.default_rng(60)
+    prob = LvggProblem(wishart_sigma(60, rng), 0.1, 0.2)
+    cfg = SolverConfig(mu=0.01, epsilon=1e-6, max_iters=20000)
+    res, records = solve_lvgg(prob, cfg)
+    assert res.converged
+    stopped, _ = fixed_penalty_run(
+        lambda st: sblvgg_step(st, prob, cfg), 60, cfg.epsilon, 2 * res.iters - 1
+    )
+    assert not stopped
+    assert kkt_residual(prob, res) <= 10 * cfg.epsilon
+    assert records[0].mu == cfg.mu
+
+
+def test_solve_too_large_starting_mu_reaches_the_same_limit():
+    # mu = 5 is far above the balanced value, so the schedule halves it; the
+    # limit must match a small-mu run within criterion 4's tolerance
+    rng = np.random.default_rng(61)
+    prob = LvggProblem(wishart_sigma(30, rng), 0.1, 0.2)
+    big, records = solve_lvgg(prob, SolverConfig(mu=5.0, epsilon=1e-8, max_iters=100000))
+    ref, _ = solve_lvgg(prob, SolverConfig(mu=0.01, epsilon=1e-8, max_iters=100000))
+    assert big.converged and ref.converged
+    assert records[0].mu == 5.0 and min(r.mu for r in records) < 5.0
+    ds = np.linalg.norm(big.s_hat.array - ref.s_hat.array)
+    dl = np.linalg.norm(big.l_hat.array - ref.l_hat.array)
+    assert ds <= 1e-3 * max(1.0, np.linalg.norm(ref.s_hat.array))
+    assert dl <= 1e-3 * max(1.0, np.linalg.norm(ref.l_hat.array))
+
+
 # ---------------------------------------------------------------------------
 # solve_glasso
 
@@ -342,6 +395,35 @@ def test_glasso_matches_transliterated_reference(sweeps):
     assert np.allclose(res.s_hat.array, s, atol=1e-12)
     assert np.array_equal(res.l_hat.array, np.zeros((5, 5)))
     assert res.rank_l == 0
+
+
+def test_glasso_balanced_mu_needs_half_the_fixed_sweeps():
+    # with lambda2 = 1e3 the trace shrink keeps L at zero, so looping
+    # sblvgg_step is the fixed-penalty glasso iteration
+    rng = np.random.default_rng(62)
+    sigma = wishart_sigma(60, rng)
+    cfg = SolverConfig(mu=0.01, epsilon=1e-6, max_iters=20000)
+    fixed_prob = LvggProblem(sigma, 0.1, 1e3)
+    res, records = solve_glasso(GlassoProblem(sigma, 0.1), cfg)
+    assert res.converged
+    stopped, last = fixed_penalty_run(
+        lambda st: sblvgg_step(st, fixed_prob, cfg), 60, cfg.epsilon, 2 * res.iters - 1
+    )
+    assert not stopped
+    assert np.array_equal(last.l.array, np.zeros((60, 60)))
+    assert kkt_residual(fixed_prob, res) <= 10 * cfg.epsilon
+    assert records[0].mu == cfg.mu
+
+
+def test_glasso_too_large_starting_mu_reaches_the_same_limit():
+    rng = np.random.default_rng(63)
+    prob = GlassoProblem(wishart_sigma(30, rng), 0.1)
+    big, records = solve_glasso(prob, SolverConfig(mu=5.0, epsilon=1e-8, max_iters=100000))
+    ref, _ = solve_glasso(prob, SolverConfig(mu=0.01, epsilon=1e-8, max_iters=100000))
+    assert big.converged and ref.converged
+    assert records[0].mu == 5.0 and min(r.mu for r in records) < 5.0
+    ds = np.linalg.norm(big.s_hat.array - ref.s_hat.array)
+    assert ds <= 1e-3 * max(1.0, np.linalg.norm(ref.s_hat.array))
 
 
 def test_lvgg_reduces_to_glasso_for_huge_lambda2():
