@@ -20,6 +20,7 @@ from .datagen import (
 )
 from .errors import DivergenceError, EigenSolverError, NotPositiveDefiniteError
 from .evalcv import CvCell, CvPlan, CvReport, cross_validate, nloglike
+from .io_cli import VERSION as __version__
 from .io_cli import MatrixFile, RunManifest, main, read_matrix, write_matrix
 from .model import (
     GlassoProblem,
@@ -50,8 +51,6 @@ from .symlin import (
     spd_functional_sqrt_update,
     sqrt_update_eigenvalues,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

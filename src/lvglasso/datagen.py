@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
-from .symlin import SymMatrix, eig_sym
+from .model import _offdiag_density, offdiag_nnz
+from .symlin import SymMatrix, _eig_pd
 
 __all__ = [
     "LatentModelSpec",
@@ -53,6 +53,8 @@ class LatentModelSpec:
             raise ValueError(
                 f"target_sparsity must lie in (0, 1), got {self.target_sparsity}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,7 @@ class GroundTruth:
 
     def realized_sparsity(self) -> float:
         """Fraction of nonzero off-diagonal entries in the observed block."""
-        p = self.k_o.dim
-        if p < 2:
-            return 0.0
-        nz = self.k_o.array != 0
-        return float(nz.sum() - np.diag(nz).sum()) / (p * (p - 1))
+        return _offdiag_density(offdiag_nnz(self.k_o), self.k_o.dim)
 
 
 class Dataset:
@@ -218,12 +216,7 @@ def marginal_precision(k_full: SymMatrix, p_obs: int) -> SymMatrix:
     """
     if not 1 <= p_obs < k_full.dim:
         raise ValueError(f"p_obs must lie in [1, {k_full.dim - 1}], got {p_obs}")
-    w = eig_sym(k_full).eigenvalues
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError(
-            f"marginal precision undefined: k_full is not positive definite "
-            f"(min eigenvalue {w[0]:.6e})"
-        )
+    _eig_pd(k_full, "marginal precision undefined: k_full")
     arr = k_full.array
     k_oh = arr[:p_obs, p_obs:]
     k_h = arr[p_obs:, p_obs:]
@@ -238,12 +231,7 @@ def sample_gaussian(precision: SymMatrix, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    dec = eig_sym(precision)
-    if dec.eigenvalues[0] <= 0:
-        raise NotPositiveDefiniteError(
-            f"sampling undefined: precision is not positive definite "
-            f"(min eigenvalue {dec.eigenvalues[0]:.6e})"
-        )
+    dec = _eig_pd(precision, "sampling undefined: precision")
     v = dec.eigenvectors
     cov_sqrt = (v / np.sqrt(dec.eigenvalues)) @ v.T
     cov_sqrt = (cov_sqrt + cov_sqrt.T) / 2.0

@@ -16,9 +16,11 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import DivergenceError, NotPositiveDefiniteError
-from .model import GlassoProblem, LvggProblem, SolverConfig, SolverResult
+from .model import (
+    GlassoProblem, LvggProblem, SolverConfig, SolverResult, _logdet_pd, _objective,
+)
 from .solver import solve_glasso, solve_lvgg
-from .symlin import SymMatrix, eig_sym
+from .symlin import SymMatrix
 
 __all__ = ["CvPlan", "CvCell", "CvReport", "nloglike", "cross_validate", "MODELS"]
 
@@ -49,6 +51,8 @@ class CvPlan:
             object.__setattr__(self, name, tuple(sorted(grid)))
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if self.split_seed < 0:
+            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction}"
@@ -91,15 +95,11 @@ def nloglike(a_hat: SymMatrix, sigma_test: SymMatrix) -> float:
     """Gaussian negative log-likelihood (up to constants) of A on held-out data.
 
     ``-log det A + tr(A sigma_test)``; minimized over A at
-    ``sigma_test^{-1}`` when that inverse exists.
+    ``sigma_test^{-1}`` when that inverse exists: the estimator's objective
+    with both penalties at zero.
     """
-    w = eig_sym(a_hat).eigenvalues
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError(
-            f"negative log-likelihood undefined: matrix is not positive "
-            f"definite (min eigenvalue {w[0]:.6e})"
-        )
-    return float(-np.log(w).sum() + (a_hat.array * sigma_test.array).sum())
+    logdet = _logdet_pd(a_hat, "negative log-likelihood undefined: matrix")
+    return _objective(logdet, a_hat.array, None, sigma_test.array, 0.0, None)
 
 
 def _fit_a_hat(

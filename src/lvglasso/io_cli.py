@@ -210,11 +210,15 @@ def _write_manifest(args, seeds: dict, outputs: dict, wall_time: float) -> None:
 # Flag helpers
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -271,7 +275,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser, max_iters_default: int = 500
     )
     sub.add_argument(
         "--max-iters",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=max_iters_default,
         help="iteration cap",
     )
@@ -462,12 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("generate", help="generate synthetic data files")
-    gen.add_argument("--p-obs", type=_positive_int, required=True)
-    gen.add_argument("--p-hidden", type=_positive_int, default=10)
+    gen.add_argument("--p-obs", type=_int_at_least(1), required=True)
+    gen.add_argument("--p-hidden", type=_int_at_least(1), default=10)
     gen.add_argument("--sparsity", type=_unit_open_float, default=0.05)
     gen.add_argument("--cross-block-scale", type=_nonnegative_float, default=0.5)
-    gen.add_argument("--n-samples", type=_positive_int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--n-samples", type=_int_at_least(1), required=True)
+    gen.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_out_flag(gen)
     _add_format_flag(gen)
     gen.set_defaults(func=cli_generate)
@@ -496,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--model", choices=("lvgg", "sgg"), required=True)
     cv.add_argument("--grid1", type=_grid, required=True)
     cv.add_argument("--grid2", type=_grid, default=None, help="ignored for sgg")
-    cv.add_argument("--folds", type=_positive_int, default=10)
-    cv.add_argument("--seed", type=int, default=0)
+    cv.add_argument("--folds", type=_int_at_least(2), default=10)
+    cv.add_argument("--seed", type=_int_at_least(0), default=0)
     cv.add_argument("--train-fraction", type=_unit_open_float, default=2.0 / 3.0)
     _add_solver_flags(cv)
     _add_out_flag(cv)
@@ -505,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subs.add_parser("bench", help="timing sweep over instance sizes")
     bench.add_argument("--sizes", type=_int_list, default=(100, 200, 400))
-    bench.add_argument("--p-hidden", type=_positive_int, default=10)
+    bench.add_argument("--p-hidden", type=_int_at_least(1), default=10)
     bench.add_argument("--sparsity", type=_unit_open_float, default=0.05)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_solver_flags(bench, max_iters_default=60)
     _add_out_flag(bench)
     bench.set_defaults(func=cli_bench)
@@ -547,7 +551,3 @@ def main(argv=None) -> int:
             pass
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,7 +3,9 @@
 Two estimation problems live here: the latent-variable model (sparse minus
 low-rank decomposition of the marginal precision) and the plain sparse
 baseline (graphical lasso). Both penalize the entrywise l1 norm *including*
-the diagonal, which is how the objectives are written.
+the diagonal, which is how the objectives are written. The objective
+formula, the rank cutoff and the off-diagonal density are written once,
+here, for the solver sweep, the evaluators and the cross-validation score.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
-from .symlin import SymMatrix, eig_sym
+from .symlin import SymMatrix, _eig_pd
 
 __all__ = [
     "LvggProblem",
@@ -132,9 +133,12 @@ class SolverState:
 class SolverResult:
     """Converged estimates and structure/iteration summaries.
 
-    rank_l counts eigenvalues of l_hat above ``RANK_TOL * max(1,
-    lambda_max(l_hat))``; nnz_offdiag_s counts exactly-nonzero off-diagonal
-    entries of s_hat and sparse_ratio_s divides by ``p*(p-1)``.
+    objective is the last sweep's objective at (a_hat, l_hat): what
+    `eval_objective` (for the sparse baseline, `eval_glasso_objective` at
+    a_hat) gives up to round-off in the log-determinant. rank_l counts
+    eigenvalues of l_hat above ``RANK_TOL * max(1, lambda_max(l_hat))``;
+    nnz_offdiag_s counts exactly-nonzero off-diagonal entries of s_hat and
+    sparse_ratio_s divides by ``p*(p-1)``.
     """
 
     s_hat: SymMatrix
@@ -164,11 +168,15 @@ class SolverResult:
         }
 
 
+def _rank_cutoff(w: np.ndarray) -> float:
+    # Eigenvalues (ascending) above this count toward rank(L).
+    return RANK_TOL * max(1.0, float(w[-1]))
+
+
 def psd_rank(m: SymMatrix) -> int:
     """Eigenvalue count above ``RANK_TOL * max(1, lambda_max)``."""
     w = np.linalg.eigvalsh(m.array)
-    cutoff = RANK_TOL * max(1.0, float(w[-1]))
-    return int(np.count_nonzero(w > cutoff))
+    return int(np.count_nonzero(w > _rank_cutoff(w)))
 
 
 def offdiag_nnz(m: SymMatrix) -> int:
@@ -177,18 +185,24 @@ def offdiag_nnz(m: SymMatrix) -> int:
     return int(arr.sum() - np.diag(arr).sum())
 
 
-def _l1(arr: np.ndarray) -> float:
-    return float(np.abs(arr).sum())
+def _offdiag_density(nnz: int, p: int) -> float:
+    # nnz over the p*(p-1) off-diagonal slots of a p x p matrix.
+    return nnz / (p * (p - 1)) if p > 1 else 0.0
 
 
 def _logdet_pd(m: SymMatrix, what: str) -> float:
-    w = eig_sym(m).eigenvalues
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError(
-            f"objective undefined: {what} is not positive definite "
-            f"(min eigenvalue {w[0]:.6e})"
-        )
-    return float(np.log(w).sum())
+    return float(np.log(_eig_pd(m, what).eigenvalues).sum())
+
+
+def _objective(logdet: float, a: np.ndarray, l: np.ndarray | None, sigma: np.ndarray,
+               lambda1: float, lambda2: float | None) -> float:
+    # -logdet + tr(A sigma) + lambda1*||A + L||_1 + lambda2*tr(L): the
+    # Gaussian negative log-likelihood of A plus both penalties.
+    # lambda2=None is the graphical lasso, whose L is zero and not read.
+    value = -logdet + float((a * sigma).sum())
+    if lambda2 is None:
+        return value + lambda1 * float(np.abs(a).sum())
+    return value + lambda1 * float(np.abs(a + l).sum()) + lambda2 * float(np.trace(l))
 
 
 def eval_objective(problem: LvggProblem, a: SymMatrix, l: SymMatrix) -> float:
@@ -198,15 +212,13 @@ def eval_objective(problem: LvggProblem, a: SymMatrix, l: SymMatrix) -> float:
     the functional the stopping rule tracks. On the constraint set A = S - L
     the l1 term equals ``lambda1*||S||_1``.
     """
-    logdet = _logdet_pd(a, "a")
-    trace_term = float((a.array * problem.sigma.array).sum())
-    l1_term = problem.lambda1 * _l1(a.array + l.array)
-    trace_l = problem.lambda2 * float(np.trace(l.array))
-    return -logdet + trace_term + l1_term + trace_l
+    logdet = _logdet_pd(a, "objective undefined: a")
+    return _objective(
+        logdet, a.array, l.array, problem.sigma.array, problem.lambda1, problem.lambda2
+    )
 
 
 def eval_glasso_objective(problem: GlassoProblem, k: SymMatrix) -> float:
     """Sparse-baseline objective ``-log det K + tr(sigma K) + lam*||K||_1``."""
-    logdet = _logdet_pd(k, "k")
-    trace_term = float((k.array * problem.sigma.array).sum())
-    return -logdet + trace_term + problem.lam * _l1(k.array)
+    logdet = _logdet_pd(k, "objective undefined: k")
+    return _objective(logdet, k.array, None, problem.sigma.array, problem.lam, None)

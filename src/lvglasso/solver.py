@@ -24,22 +24,22 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, NotPositiveDefiniteError
+from .errors import DivergenceError
 from .model import (
-    RANK_TOL,
     GlassoProblem,
     LvggProblem,
     SolverConfig,
     SolverResult,
     SolverState,
-    _l1,
-    eval_glasso_objective,
-    eval_objective,
+    _objective,
+    _offdiag_density,
+    _rank_cutoff,
     offdiag_nnz,
     psd_rank,
 )
 from .symlin import (
     SymMatrix,
+    _eig_pd,
     eig_sym,
     eigen_reconstruct,
     psd_trace_shrink,
@@ -132,13 +132,7 @@ def _sweep(
         ) from exc
     with np.errstate(divide="ignore"):
         logdet = float(np.log(a_eigs).sum())
-    objective = (
-        -logdet
-        + float((a.array * sigma).sum())
-        + lambda1 * _l1(a.array + l_new.array)
-    )
-    if lambda2 is not None:
-        objective += lambda2 * float(np.trace(l_new.array))
+    objective = _objective(logdet, a.array, l_new.array, sigma, lambda1, lambda2)
     if not math.isfinite(objective):
         raise DivergenceError(
             f"objective diverged to {objective} at iteration {state.iter + 1}",
@@ -191,10 +185,9 @@ def _solve(
     step: Callable[[SolverState, SolverConfig], SolverState],
     state: SolverState,
     config: SolverConfig,
-    summarize: Callable[[SolverState], tuple[float, int]],
 ) -> tuple[SolverResult, list[IterationRecord]]:
     # Shared driver: sweep until check_stop fires or max_iters elapse, then
-    # assemble the result; summarize(state) gives (objective, rank_l).
+    # assemble the result from the last sweep's state and objective.
     # step(state, config) sweeps at config.mu; config is rebuilt only when
     # residual balancing changes mu.
     t0 = time.perf_counter()
@@ -223,17 +216,15 @@ def _solve(
             if mu != config.mu:
                 config = replace(config, mu=mu)
                 mu_changes += 1
-    objective, rank_l = summarize(state)
     nnz = offdiag_nnz(state.s)
-    p = state.dim
     return SolverResult(
         s_hat=state.s,
         l_hat=state.l,
         a_hat=state.a,
-        objective=objective,
-        rank_l=rank_l,
+        objective=state.last_objective,
+        rank_l=psd_rank(state.l),
         nnz_offdiag_s=nnz,
-        sparse_ratio_s=nnz / (p * (p - 1)) if p > 1 else 0.0,
+        sparse_ratio_s=_offdiag_density(nnz, state.dim),
         iters=len(records),
         converged=converged,
         primal_residual=state.primal_residual,
@@ -260,7 +251,7 @@ def solve_lvgg(
     -------
     result : SolverResult
         Final estimates with rank/sparsity summaries; ``objective`` is
-        re-evaluated at (a_hat, l_hat).
+        the last sweep's objective, which is evaluated at (a_hat, l_hat).
     records : list of IterationRecord
         One telemetry row per sweep performed, with the mu it used.
     """
@@ -270,7 +261,6 @@ def solve_lvgg(
         lambda st, cfg: sblvgg_step(st, problem, cfg),
         init if init is not None else _default_init(problem.dim),
         config,
-        lambda st: (eval_objective(problem, st.a, st.l), psd_rank(st.l)),
     )
 
 
@@ -292,7 +282,6 @@ def solve_glasso(
         lambda st, cfg: _sweep(st, problem.sigma.array, problem.lam, None, cfg.mu),
         _default_init(problem.dim),
         config,
-        lambda st: (eval_glasso_objective(problem, st.a), 0),
     )
 
 
@@ -313,13 +302,8 @@ def kkt_residual(problem: LvggProblem, result: SolverResult) -> float:
     Returns the max of the three. A value below ~10x the stopping
     tolerance of the run certifies approximate optimality.
     """
-    dec = eig_sym(result.a_hat)
+    dec = _eig_pd(result.a_hat, "kkt residual undefined: a_hat")
     w = dec.eigenvalues
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError(
-            f"kkt residual undefined: a_hat is not positive definite "
-            f"(min eigenvalue {w[0]:.6e})"
-        )
     v = dec.eigenvectors
     ainv = (v / w) @ v.T
     ainv = (ainv + ainv.T) / 2.0
@@ -339,8 +323,7 @@ def kkt_residual(problem: LvggProblem, result: SolverResult) -> float:
     m = (m + m.T) / 2.0
     dec_l = eig_sym(result.l_hat)
     wl = dec_l.eigenvalues
-    cutoff = RANK_TOL * max(1.0, float(wl[-1]))
-    range_vecs = dec_l.eigenvectors[:, wl > cutoff]
+    range_vecs = dec_l.eigenvectors[:, wl > _rank_cutoff(wl)]
     wm = np.linalg.eigvalsh(m)
     r_l = float(max(0.0, -wm[0]))
     if range_vecs.shape[1] > 0:

@@ -3,7 +3,9 @@
 Everything the solver's closed-form updates need: eigendecomposition of
 symmetric matrices, the positive-root matrix update solving
 ``mu*A^2 - K*A - I = 0``, and the two proximal operators (elementwise soft
-thresholding and eigenvalue shrinkage onto the PSD cone).
+thresholding and eigenvalue shrinkage onto the PSD cone). The
+positive-definite gate every other module applies before using a matrix
+that must be positive definite lives here too.
 
 All operations are pure; :class:`SymMatrix` values are immutable and safe to
 share across threads.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenSolverError
+from .errors import EigenSolverError, NotPositiveDefiniteError
 
 __all__ = [
     "SymMatrix",
@@ -112,6 +114,17 @@ def eig_sym(x: SymMatrix) -> EigenDecomp:
             f"fro_norm={fro:.6e}, max_abs_entry={max_abs:.6e}"
         ) from exc
     return EigenDecomp(eigenvalues=w, eigenvectors=v)
+
+
+def _eig_pd(x: SymMatrix, what: str) -> EigenDecomp:
+    # The positive-definite gate: eig_sym, or NotPositiveDefiniteError whose
+    # message starts with ``what`` (e.g. "sampling undefined: precision").
+    dec = eig_sym(x)
+    if dec.eigenvalues[0] <= 0:
+        raise NotPositiveDefiniteError(
+            f"{what} is not positive definite (min eigenvalue {dec.eigenvalues[0]:.6e})"
+        )
+    return dec
 
 
 def eigen_reconstruct(eigenvectors: np.ndarray, eigenvalues: np.ndarray) -> SymMatrix:

@@ -28,6 +28,8 @@ def test_spec_validation():
     for bad in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError):
             LatentModelSpec(p_obs=10, target_sparsity=bad)
+    with pytest.raises(ValueError, match="seed"):
+        LatentModelSpec(p_obs=10, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def test_marginal_precision_matches_inverse_of_submatrix_of_inverse():
 
 
 def test_marginal_precision_rejects_bad_input():
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match="marginal precision undefined"):
         marginal_precision(SymMatrix(np.diag([1.0, -1.0])), 1)
     with pytest.raises(ValueError):
         marginal_precision(SymMatrix.identity(3), 0)
@@ -148,7 +150,7 @@ def test_sampling_is_deterministic():
 
 
 def test_sampling_rejects_non_pd_precision():
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match="sampling undefined"):
         sample_gaussian(SymMatrix([[1.0, 2.0], [2.0, 1.0]]), 10, 0)
     with pytest.raises(ValueError):
         sample_gaussian(SymMatrix.identity(2), 0, 0)

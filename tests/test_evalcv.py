@@ -63,7 +63,7 @@ def test_nloglike_matches_naive_evaluator():
 
 
 def test_nloglike_rejects_non_pd():
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match="negative log-likelihood undefined"):
         nloglike(SymMatrix(np.diag([1.0, -1.0])), SymMatrix.identity(2))
 
 
@@ -86,6 +86,8 @@ def test_cv_plan_validation():
             CvPlan((0.1,), (bad,))
     with pytest.raises(ValueError):
         CvPlan((0.1,), (0.2,), folds=1)
+    with pytest.raises(ValueError, match="split_seed"):
+        CvPlan((0.1,), (0.2,), split_seed=-1)
     with pytest.raises(ValueError):
         CvPlan((0.1,), (0.2,), train_fraction=1.0)
     with pytest.raises(ValueError):

@@ -274,6 +274,23 @@ def test_cv_non_finite_grid_is_usage_error(tmp_path, samples_file, flag, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", [
+    ["generate", "--p-obs", "5", "--n-samples", "10", "--seed", "-1"],
+    ["cv", "--model", "sgg", "--grid1", "0.1", "--seed", "-1"],
+    ["cv", "--model", "sgg", "--grid1", "0.1", "--folds", "1"],
+    ["bench", "--sizes", "20", "--max-iters", "2", "--seed", "-1"],
+])
+def test_negative_seed_or_single_fold_is_usage_error(tmp_path, samples_file, case):
+    if case[0] == "cv":
+        case = case + ["--data", str(samples_file)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(case + ["--out", str(out)])
+    assert info.value.code == 2
+    assert not (out / "error.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_cv_lvgg_requires_grid2(tmp_path, samples_file):
     code = main(["cv", "--data", str(samples_file), "--model", "lvgg",
                  "--grid1", "0.1", "--out", str(tmp_path / "x")])
@@ -322,10 +339,11 @@ def test_bench_rows_and_reproducible_iters(tmp_path):
 # top level
 
 
-def test_version_flag():
+def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == f"lvglasso {lvglasso.__version__}"
 
 
 def test_python_m_lvglasso_runs_the_cli():

@@ -168,7 +168,7 @@ def test_eval_objective_rejects_non_pd():
     prob = LvggProblem(SymMatrix.identity(2), 0.1, 0.1)
     with pytest.raises(NotPositiveDefiniteError, match="objective undefined"):
         eval_objective(prob, SymMatrix(np.diag([1.0, -1.0])), SymMatrix.zeros(2))
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match="objective undefined: a"):
         eval_objective(prob, SymMatrix(np.diag([1.0, 0.0])), SymMatrix.zeros(2))
 
 

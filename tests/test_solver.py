@@ -15,6 +15,7 @@ from lvglasso import (
     DivergenceError,
     GlassoProblem,
     IterationRecord,
+    LatentModelSpec,
     LvggProblem,
     NotPositiveDefiniteError,
     SolverConfig,
@@ -22,7 +23,11 @@ from lvglasso import (
     SolverState,
     SymMatrix,
     check_stop,
+    eval_glasso_objective,
+    eval_objective,
+    generate_synthetic,
     kkt_residual,
+    sample_gaussian,
     sblvgg_step,
     solve_glasso,
     solve_lvgg,
@@ -439,6 +444,32 @@ def test_lvgg_reduces_to_glasso_for_huge_lambda2():
 
 
 # ---------------------------------------------------------------------------
+# result objective
+
+
+def test_result_objective_is_the_last_sweeps():
+    # The cv-lvgg-p100 benchmark truth: re-evaluating the objective from a
+    # fresh eigendecomposition of a_hat moves it in the last digits here,
+    # for both models.
+    truth = generate_synthetic(
+        LatentModelSpec(p_obs=100, p_hidden=10, target_sparsity=0.05, seed=7)
+    )
+    sigma = sample_gaussian(truth.k_marginal, n=600, seed=10).covariance
+    prob = LvggProblem(sigma, 0.02, 0.1)
+    res, recs = solve_lvgg(prob)
+    assert res.objective == recs[-1].objective
+    want = eval_objective(prob, res.a_hat, res.l_hat)
+    assert abs(res.objective - want) <= 1e-12 * abs(want)
+
+    gprob = GlassoProblem(sigma, 0.02)
+    res, recs = solve_glasso(gprob)
+    assert res.objective == recs[-1].objective
+    want = eval_glasso_objective(gprob, res.a_hat)
+    assert abs(res.objective - want) <= 1e-12 * abs(want)
+    assert res.rank_l == 0
+
+
+# ---------------------------------------------------------------------------
 # kkt_residual
 
 
@@ -501,5 +532,5 @@ def test_kkt_residual_scales_with_epsilon():
 def test_kkt_residual_requires_pd_a():
     prob = LvggProblem(SymMatrix.identity(2), 0.1, 0.2)
     bad = make_result(SymMatrix.identity(2), SymMatrix.zeros(2), SymMatrix(np.diag([1.0, -1.0])))
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match="kkt residual undefined"):
         kkt_residual(prob, bad)
