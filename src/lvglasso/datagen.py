@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _offdiag_density, offdiag_nnz
-from .symlin import SymMatrix, _eig_pd
+from .symlin import SymMatrix, _eig_pd, _eigvals_sym, eigen_reconstruct
 
 __all__ = [
     "LatentModelSpec",
@@ -89,7 +89,7 @@ class GroundTruth:
 
     def low_rank_part(self) -> SymMatrix:
         """The marginalization term ``k_oh k_h^{-1} k_oh^T`` (PSD, rank <= p_hidden)."""
-        return SymMatrix(self.k_oh @ np.linalg.solve(self.k_h.array, self.k_oh.T))
+        return SymMatrix(_schur_term(self.k_oh, self.k_h.array))
 
     def realized_sparsity(self) -> float:
         """Fraction of nonzero off-diagonal entries in the observed block."""
@@ -149,6 +149,11 @@ class Dataset:
         return f"Dataset(n={self.n}, p={self.p})"
 
 
+def _schur_term(k_oh: np.ndarray, k_h: np.ndarray) -> np.ndarray:
+    # K_OH K_H^{-1} K_HO: what marginalizing the hidden block subtracts.
+    return k_oh @ np.linalg.solve(k_h, k_oh.T)
+
+
 def _sparsity_to_density(target_sparsity: float, p: int) -> float:
     # An off-diagonal entry of W^T W is nonzero iff some row of W hits both
     # columns: P = 1 - (1 - d^2)^p for i.i.d. Bernoulli(d) support. Invert
@@ -165,10 +170,9 @@ def _build_joint_precision(spec: LatentModelSpec, seed: int) -> np.ndarray:
     w = np.where(mask, rng.standard_normal((p, p)), 0.0)
     c = w.T @ w
     c[:p_o, p_o:] += spec.cross_block_scale * rng.standard_normal((p_o, p_h))
-    c = (c + c.T) / 2.0
+    c = np.clip(SymMatrix(c).array, -1.0, 1.0)
     np.fill_diagonal(c, 0.0)
-    c = np.clip(c, -1.0, 1.0)
-    shift = max(-1.2 * float(np.linalg.eigvalsh(c)[0]), 0.001)
+    shift = max(-1.2 * float(_eigvals_sym(SymMatrix(c))[0]), 0.001)
     return c + shift * np.eye(p)
 
 
@@ -178,8 +182,8 @@ def generate_synthetic(spec: LatentModelSpec) -> GroundTruth:
     Recipe: sparse p x p factor W with standard-normal nonzeros (density
     calibrated so the observed block's off-diagonal sparsity lands near
     ``spec.target_sparsity``); C = W^T W; dense noise on the
-    observed-hidden block; symmetrize; zero the diagonal and clamp to
-    [-1, 1]; shift the diagonal by ``max(-1.2 * lambda_min, 0.001)`` to
+    observed-hidden block; symmetrize; clamp to [-1, 1] and zero the
+    diagonal; shift the diagonal by ``max(-1.2 * lambda_min, 0.001)`` to
     force positive definiteness; finally split into blocks and form the
     Schur complement.
 
@@ -190,14 +194,14 @@ def generate_synthetic(spec: LatentModelSpec) -> GroundTruth:
     for attempt in range(10):
         k = _build_joint_precision(spec, spec.seed + attempt)
         k_h = k[p_o:, p_o:]
-        if np.linalg.eigvalsh(k_h)[0] >= 1e-12:
+        if _eigvals_sym(SymMatrix(k_h))[0] >= 1e-12:
             break
     else:
         raise RuntimeError(
             f"hidden block numerically singular after 10 attempts (seed {spec.seed})"
         )
     k_oh = k[:p_o, p_o:].copy()
-    schur = k[:p_o, :p_o] - k_oh @ np.linalg.solve(k_h, k_oh.T)
+    schur = k[:p_o, :p_o] - _schur_term(k_oh, k_h)
     return GroundTruth(
         k_full=SymMatrix(k),
         k_o=SymMatrix(k[:p_o, :p_o]),
@@ -220,7 +224,7 @@ def marginal_precision(k_full: SymMatrix, p_obs: int) -> SymMatrix:
     arr = k_full.array
     k_oh = arr[:p_obs, p_obs:]
     k_h = arr[p_obs:, p_obs:]
-    return SymMatrix(arr[:p_obs, :p_obs] - k_oh @ np.linalg.solve(k_h, k_oh.T))
+    return SymMatrix(arr[:p_obs, :p_obs] - _schur_term(k_oh, k_h))
 
 
 def sample_gaussian(precision: SymMatrix, n: int, seed: int) -> Dataset:
@@ -232,12 +236,10 @@ def sample_gaussian(precision: SymMatrix, n: int, seed: int) -> Dataset:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     dec = _eig_pd(precision, "sampling undefined: precision")
-    v = dec.eigenvectors
-    cov_sqrt = (v / np.sqrt(dec.eigenvalues)) @ v.T
-    cov_sqrt = (cov_sqrt + cov_sqrt.T) / 2.0
+    cov_sqrt = eigen_reconstruct(dec.eigenvectors, 1.0 / np.sqrt(dec.eigenvalues))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, precision.dim))
-    return Dataset(z @ cov_sqrt)
+    return Dataset(z @ cov_sqrt.array)
 
 
 def empirical_covariance(data: Dataset, ddof: int = 0) -> SymMatrix:

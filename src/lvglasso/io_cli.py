@@ -35,7 +35,7 @@ from .errors import DivergenceError, EigenSolverError, NotPositiveDefiniteError
 from .evalcv import CvPlan, cross_validate
 from .model import GlassoProblem, LvggProblem, SolverConfig, psd_rank
 from .solver import solve_glasso, solve_lvgg
-from .symlin import SymMatrix, eig_sym
+from .symlin import SymMatrix, eig_sym, eigen_reconstruct
 
 __all__ = [
     "MatrixFile",
@@ -357,6 +357,14 @@ def _load_covariance(path: Path) -> SymMatrix:
     arr = read_matrix(path)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{path}: covariance must be square, got shape {arr.shape}")
+    # Round-off asymmetry is mirrored away by SymMatrix; anything larger is
+    # not a covariance, and averaging it with its transpose would hide that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = float(np.abs(arr - arr.T).max())
+        if asym > 1e-10 * max(1.0, float(np.abs(arr).max())):
+            raise ValueError(
+                f"{path}: covariance must be symmetric, max |sigma - sigma^T| = {asym:.6e}"
+            )
     return SymMatrix(arr)
 
 
@@ -424,9 +432,7 @@ def cli_bench(args) -> tuple[dict, dict]:
         )
         truth = generate_synthetic(spec)
         dec = eig_sym(truth.k_marginal)
-        sigma = SymMatrix(
-            (dec.eigenvectors / dec.eigenvalues) @ dec.eigenvectors.T
-        )
+        sigma = eigen_reconstruct(dec.eigenvectors, 1.0 / dec.eigenvalues)
         scale = _BENCH_REFERENCE_P / p
         # One untimed solve per size warms BLAS workspaces and page caches so
         # the first timed pair is not inflated by one-off allocation costs.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symlin import SymMatrix, _eig_pd
+from .symlin import SymMatrix, _eig_pd, _eigvals_sym
 
 __all__ = [
     "LvggProblem",
@@ -175,7 +175,7 @@ def _rank_cutoff(w: np.ndarray) -> float:
 
 def psd_rank(m: SymMatrix) -> int:
     """Eigenvalue count above ``RANK_TOL * max(1, lambda_max)``."""
-    w = np.linalg.eigvalsh(m.array)
+    w = _eigvals_sym(m)
     return int(np.count_nonzero(w > _rank_cutoff(w)))
 
 

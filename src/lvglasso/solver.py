@@ -40,6 +40,7 @@ from .model import (
 from .symlin import (
     SymMatrix,
     _eig_pd,
+    _eigvals_sym,
     eig_sym,
     eigen_reconstruct,
     psd_trace_shrink,
@@ -285,8 +286,8 @@ def solve_glasso(
     )
 
 
-def kkt_residual(problem: LvggProblem, result: SolverResult) -> float:
-    """Independent optimality certificate for a latent-variable solve.
+def kkt_residual(problem: LvggProblem | GlassoProblem, result: SolverResult) -> float:
+    """Independent optimality certificate for a solve of either model.
 
     Measures, at (A, S, L) = (a_hat, s_hat, l_hat) with multiplier
     ``G = A^{-1} - sigma``:
@@ -299,37 +300,37 @@ def kkt_residual(problem: LvggProblem, result: SolverResult) -> float:
         spectral norm of M compressed onto the range eigenvectors.
     (iii) primal feasibility ``||A - S + L||_F``.
 
-    Returns the max of the three. A value below ~10x the stopping
-    tolerance of the run certifies approximate optimality.
+    Returns the max of the three. For a `GlassoProblem`, lambda1 is
+    ``lam`` and L is held at zero, so (ii) is skipped. A value below ~10x
+    the stopping tolerance of the run certifies approximate optimality.
     """
+    if isinstance(problem, GlassoProblem):
+        lambda1, lambda2 = problem.lam, None
+    else:
+        lambda1, lambda2 = problem.lambda1, problem.lambda2
     dec = _eig_pd(result.a_hat, "kkt residual undefined: a_hat")
-    w = dec.eigenvalues
-    v = dec.eigenvectors
-    ainv = (v / w) @ v.T
-    ainv = (ainv + ainv.T) / 2.0
-    grad = ainv - problem.sigma.array
+    ainv = eigen_reconstruct(dec.eigenvectors, 1.0 / dec.eigenvalues)
+    grad = ainv.array - problem.sigma.array
 
     s = result.s_hat.array
-    p = s.shape[0]
     nz = s != 0
     stat = np.where(
         nz,
-        np.abs(grad - problem.lambda1 * np.sign(s)),
-        np.maximum(np.abs(grad) - problem.lambda1, 0.0),
+        np.abs(grad - lambda1 * np.sign(s)),
+        np.maximum(np.abs(grad) - lambda1, 0.0),
     )
     r_s = float(stat.max())
 
-    m = grad + problem.lambda2 * np.eye(p)
-    m = (m + m.T) / 2.0
-    dec_l = eig_sym(result.l_hat)
-    wl = dec_l.eigenvalues
-    range_vecs = dec_l.eigenvectors[:, wl > _rank_cutoff(wl)]
-    wm = np.linalg.eigvalsh(m)
-    r_l = float(max(0.0, -wm[0]))
-    if range_vecs.shape[1] > 0:
-        compressed = range_vecs.T @ m @ range_vecs
-        compressed = (compressed + compressed.T) / 2.0
-        r_l = max(r_l, float(np.abs(np.linalg.eigvalsh(compressed)).max()))
+    r_l = 0.0
+    if lambda2 is not None:
+        m = SymMatrix(grad + lambda2 * np.eye(s.shape[0]))
+        dec_l = eig_sym(result.l_hat)
+        wl = dec_l.eigenvalues
+        range_vecs = dec_l.eigenvectors[:, wl > _rank_cutoff(wl)]
+        r_l = float(max(0.0, -_eigvals_sym(m)[0]))
+        if range_vecs.shape[1] > 0:
+            compressed = SymMatrix(range_vecs.T @ m.array @ range_vecs)
+            r_l = max(r_l, float(np.abs(_eigvals_sym(compressed)).max()))
 
     r_feas = float(
         np.linalg.norm(result.a_hat.array - s + result.l_hat.array)

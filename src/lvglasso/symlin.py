@@ -3,9 +3,9 @@
 Everything the solver's closed-form updates need: eigendecomposition of
 symmetric matrices, the positive-root matrix update solving
 ``mu*A^2 - K*A - I = 0``, and the two proximal operators (elementwise soft
-thresholding and eigenvalue shrinkage onto the PSD cone). The
-positive-definite gate every other module applies before using a matrix
-that must be positive definite lives here too.
+thresholding and eigenvalue shrinkage onto the PSD cone). Every
+eigensolve, ``V f(w) V^T`` assembly and symmetric mirror of the package is
+here, as is the positive-definite gate the other modules apply.
 
 All operations are pure; :class:`SymMatrix` values are immutable and safe to
 share across threads.
@@ -114,6 +114,11 @@ def eig_sym(x: SymMatrix) -> EigenDecomp:
             f"fro_norm={fro:.6e}, max_abs_entry={max_abs:.6e}"
         ) from exc
     return EigenDecomp(eigenvalues=w, eigenvectors=v)
+
+
+def _eigvals_sym(x: SymMatrix) -> np.ndarray:
+    # Eigenvalues only, ascending; cheaper than eig_sym when no vectors are needed.
+    return np.linalg.eigvalsh(x.array)
 
 
 def _eig_pd(x: SymMatrix, what: str) -> EigenDecomp:

@@ -143,6 +143,18 @@ def test_sampling_variances_invert_the_precision():
     assert abs(var[1] - 1.0) <= 0.05 * 1.0
 
 
+def test_sampling_matches_symmetric_root_reference():
+    # dense, non-diagonal precision: samples are Z @ K^{-1/2}
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((40, 12))
+    k = g.T @ g / 40 + 0.5 * np.eye(12)
+    w, v = np.linalg.eigh(k)
+    k_inv_sqrt = v @ np.diag(w ** -0.5) @ v.T
+    expected = np.random.default_rng(7).standard_normal((200, 12)) @ k_inv_sqrt
+    samples = sample_gaussian(SymMatrix(k), 200, 7).samples
+    assert np.abs(samples - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_sampling_is_deterministic():
     a = sample_gaussian(SymMatrix.identity(3), 50, 21)
     b = sample_gaussian(SymMatrix.identity(3), 50, 21)

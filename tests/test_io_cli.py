@@ -184,16 +184,39 @@ def test_solve_missing_cov_flag_is_usage_error(tmp_path):
     assert info.value.code == 2
 
 
+PENALTY_FLAGS = {
+    "solve": ["--lambda1", "0.1", "--lambda2", "0.2"],
+    "glasso": ["--lam", "0.1"],
+}
+ASYMMETRIC = [[1.0, 0.9], [-0.9, 1.0]]
+
+
 def test_solve_non_square_input_fails_with_diagnostic(tmp_path):
-    bad = tmp_path / "bad.npy"
-    write_matrix(bad, np.zeros((3, 2)))
+    for case, (command, matrix, reason) in enumerate([
+        ("solve", np.zeros((3, 2)), "square"),
+        ("solve", ASYMMETRIC, "symmetric"),
+        ("glasso", ASYMMETRIC, "symmetric"),
+    ]):
+        bad = tmp_path / f"bad{case}.npy"
+        write_matrix(bad, np.asarray(matrix))
+        out = tmp_path / f"run{case}"
+        code = main([command, "--cov", str(bad), *PENALTY_FLAGS[command], "--out", str(out)])
+        assert code == 1
+        diag = read_json(out / "error.json")
+        assert diag["error"] == "ValueError"
+        assert diag["command"] == command
+        assert f"covariance must be {reason}" in diag["message"]
+        assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "glasso"])
+def test_round_off_asymmetric_input_is_mirrored(tmp_path, command):
+    cov = np.array([[1.0, 0.3], [0.3, 1.0]])
+    cov[0, 1] += 1e-15
+    path = tmp_path / "cov.npy"
+    write_matrix(path, cov)
     out = tmp_path / "run"
-    code = main(["solve", "--cov", str(bad), "--lambda1", "0.1",
-                 "--lambda2", "0.2", "--out", str(out)])
-    assert code == 1
-    diag = read_json(out / "error.json")
-    assert diag["error"] == "ValueError"
-    assert diag["command"] == "solve"
+    assert main([command, "--cov", str(path), *PENALTY_FLAGS[command], "--out", str(out)]) == 0
 
 
 def test_glasso_command(tmp_path, identity_cov):

@@ -498,22 +498,37 @@ def test_kkt_residual_zero_at_analytic_solution():
     assert kkt_residual(prob, res) <= 1e-8
 
 
+def solve_either(prob, cfg):
+    solve = solve_glasso if isinstance(prob, GlassoProblem) else solve_lvgg
+    return solve(prob, cfg)[0]
+
+
 def test_kkt_residual_detects_perturbation():
-    rng = np.random.default_rng(21)
-    prob = LvggProblem(wishart_sigma(4, rng), 0.1, 0.2)
-    res, _ = solve_lvgg(prob, SolverConfig(mu=0.05, epsilon=1e-8, max_iters=100000))
-    bumped = res.s_hat.array.copy()
-    bumped[0, 0] += 0.1
-    perturbed = make_result(SymMatrix(bumped), res.l_hat, res.a_hat)
-    assert kkt_residual(prob, perturbed) > 0.05
+    sigma = wishart_sigma(4, np.random.default_rng(21))
+    cfg = SolverConfig(mu=0.05, epsilon=1e-8, max_iters=100000)
+    for prob in (LvggProblem(sigma, 0.1, 0.2), GlassoProblem(sigma, 0.1)):
+        res = solve_either(prob, cfg)
+        assert kkt_residual(prob, res) <= 1e-6
+        bumped = res.s_hat.array.copy()
+        bumped[0, 0] += 0.1
+        perturbed = make_result(SymMatrix(bumped), res.l_hat, res.a_hat)
+        assert kkt_residual(prob, perturbed) > 0.05
 
 
 def test_kkt_residual_small_after_tight_convergence():
-    rng = np.random.default_rng(4485)
-    prob = LvggProblem(wishart_sigma(5, rng), 0.1, 0.2)
-    res, _ = solve_lvgg(prob, SolverConfig(mu=0.05, epsilon=1e-6, max_iters=50000))
-    assert res.converged
-    assert kkt_residual(prob, res) <= 1e-4
+    eps = 1e-6
+    cfg = SolverConfig(mu=0.05, epsilon=eps, max_iters=50000)
+    sigma = wishart_sigma(5, np.random.default_rng(4485))
+    truth = generate_synthetic(LatentModelSpec(p_obs=60, seed=3))
+    sampled = sample_gaussian(truth.k_marginal, 120, seed=4).covariance
+    for prob in (
+        LvggProblem(sigma, 0.1, 0.2),
+        GlassoProblem(sigma, 0.1),
+        GlassoProblem(sampled, 0.05),
+    ):
+        res = solve_either(prob, cfg)
+        assert res.converged
+        assert kkt_residual(prob, res) <= 10 * eps
 
 
 def test_kkt_residual_scales_with_epsilon():

@@ -5,11 +5,14 @@ noted; the proximal operators are additionally checked against independent
 projected-gradient references.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lvglasso
 from lvglasso import (
     EigenSolverError,
     SymMatrix,
@@ -20,6 +23,9 @@ from lvglasso import (
     spd_functional_sqrt_update,
     sqrt_update_eigenvalues,
 )
+
+
+EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
 
 
 def random_symmetric(p, rng, scale=1.0):
@@ -281,3 +287,24 @@ def test_psd_trace_shrink_beats_dense_grid_on_2x2():
                         y = np.array([[a, b], [b, c]])
                         best = min(best, shrink_objective(y, x, eta))
         assert shrink_objective(got, x, eta) <= best + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# One home for the eigensolver
+
+
+def test_only_symlin_calls_numpy_eigensolvers():
+    # np.linalg.<solver> anywhere in the package but symlin.py is a finding
+    found = []
+    for path in sorted(Path(lvglasso.__file__).parent.glob("*.py")):
+        if path.name == "symlin.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in EIGENSOLVERS
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+            ):
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert found == []
