@@ -5,8 +5,9 @@ variables as a sparse matrix minus a low-rank positive semidefinite one:
 the sparse part encodes the conditional independence graph among observed
 variables, the low-rank part the marginalization effect of a few hidden
 ones. A split-Bregman/ADMM solver with closed-form block updates does the
-work; a sparse-only baseline, a synthetic generator, cross-validation
-tooling, and a CLI round out the package.
+work, and with ``lambda2=None`` solves the sparse-only baseline (graphical
+lasso); a synthetic generator, cross-validation tooling, and a CLI round
+out the package.
 """
 
 from .datagen import (
@@ -23,12 +24,10 @@ from .evalcv import CvCell, CvPlan, CvReport, cross_validate, nloglike
 from .io_cli import VERSION as __version__
 from .io_cli import MatrixFile, RunManifest, main, read_matrix, write_matrix
 from .model import (
-    GlassoProblem,
     LvggProblem,
     SolverConfig,
     SolverResult,
     SolverState,
-    eval_glasso_objective,
     eval_objective,
     offdiag_nnz,
     psd_rank,
@@ -38,7 +37,6 @@ from .solver import (
     check_stop,
     kkt_residual,
     sblvgg_step,
-    solve_glasso,
     solve_lvgg,
 )
 from .symlin import (
@@ -65,12 +63,10 @@ __all__ = [
     "psd_trace_shrink",
     # problems and results
     "LvggProblem",
-    "GlassoProblem",
     "SolverConfig",
     "SolverState",
     "SolverResult",
     "eval_objective",
-    "eval_glasso_objective",
     "psd_rank",
     "offdiag_nnz",
     # solver
@@ -78,7 +74,6 @@ __all__ = [
     "sblvgg_step",
     "check_stop",
     "solve_lvgg",
-    "solve_glasso",
     "kkt_residual",
     # data generation
     "LatentModelSpec",

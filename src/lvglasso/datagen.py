@@ -27,6 +27,11 @@ __all__ = [
     "empirical_covariance",
 ]
 
+# generate_synthetic tries seeds spec.seed .. spec.seed + _SEED_ATTEMPTS - 1
+# until the hidden block is nonsingular; a sampling stream seeded from the
+# same base starts past this window.
+_SEED_ATTEMPTS = 10
+
 
 @dataclass(frozen=True)
 class LatentModelSpec:
@@ -188,17 +193,18 @@ def generate_synthetic(spec: LatentModelSpec) -> GroundTruth:
     Schur complement.
 
     If the hidden block comes out numerically singular the draw is retried
-    with the next seed, up to 10 attempts.
+    with the next seed, up to ``_SEED_ATTEMPTS`` attempts.
     """
     p_o = spec.p_obs
-    for attempt in range(10):
+    for attempt in range(_SEED_ATTEMPTS):
         k = _build_joint_precision(spec, spec.seed + attempt)
         k_h = k[p_o:, p_o:]
         if _eigvals_sym(SymMatrix(k_h))[0] >= 1e-12:
             break
     else:
         raise RuntimeError(
-            f"hidden block numerically singular after 10 attempts (seed {spec.seed})"
+            f"hidden block numerically singular after {_SEED_ATTEMPTS} attempts "
+            f"(seed {spec.seed})"
         )
     k_oh = k[:p_o, p_o:].copy()
     schur = k[:p_o, :p_o] - _schur_term(k_oh, k_h)

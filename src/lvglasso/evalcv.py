@@ -5,6 +5,10 @@ training rows to pick penalties by mean validation negative log-likelihood,
 a refit on the full training set at the winning cell, and a single held-out
 score. Cells whose inner solves diverge are excluded from the argmin but
 recorded. Everything is deterministic given (data, plan, config).
+
+Both models are solved by `solve_lvgg`: an ``lvgg`` cell is
+``LvggProblem(sigma, lambda1, lambda2)``, and an ``sgg`` (graphical lasso)
+cell carries ``lambda2=None``, which holds the low-rank part at zero.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import DivergenceError, NotPositiveDefiniteError
-from .model import (
-    GlassoProblem, LvggProblem, SolverConfig, SolverResult, _logdet_pd, _objective,
-)
-from .solver import solve_glasso, solve_lvgg
+from .model import LvggProblem, SolverConfig, _logdet_pd, _objective
+from .solver import solve_lvgg
 from .symlin import SymMatrix
 
 __all__ = ["CvPlan", "CvCell", "CvReport", "nloglike", "cross_validate", "MODELS"]
@@ -102,16 +104,6 @@ def nloglike(a_hat: SymMatrix, sigma_test: SymMatrix) -> float:
     return _objective(logdet, a_hat.array, None, sigma_test.array, 0.0, None)
 
 
-def _fit_a_hat(
-    model: str, sigma: SymMatrix, lambda1: float, lambda2: float, config: SolverConfig
-) -> SolverResult:
-    if model == "lvgg":
-        result, _ = solve_lvgg(LvggProblem(sigma, lambda1, lambda2), config)
-    else:
-        result, _ = solve_glasso(GlassoProblem(sigma, lambda1), config)
-    return result
-
-
 def cross_validate(
     data: Dataset, plan: CvPlan, config: SolverConfig, model: str
 ) -> CvReport:
@@ -156,7 +148,7 @@ def cross_validate(
         valid = True
         for sigma_fit, sigma_val in fold_sigmas:
             try:
-                result = _fit_a_hat(model, sigma_fit, l1, l2, config)
+                result, _ = solve_lvgg(LvggProblem(sigma_fit, l1, l2), config)
                 scores.append(nloglike(result.a_hat, sigma_val))
             except (DivergenceError, NotPositiveDefiniteError):
                 valid = False
@@ -175,7 +167,7 @@ def cross_validate(
 
     sigma_train = data.take(train_rows).covariance
     sigma_test = data.take(test_rows).covariance
-    refit = _fit_a_hat(model, sigma_train, best.lambda1, best.lambda2, config)
+    refit, _ = solve_lvgg(LvggProblem(sigma_train, best.lambda1, best.lambda2), config)
     return CvReport(
         model=model,
         best_lambda1=best.lambda1,

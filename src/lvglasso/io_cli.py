@@ -30,11 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, LatentModelSpec, generate_synthetic, sample_gaussian
+from .datagen import (
+    _SEED_ATTEMPTS, Dataset, LatentModelSpec, generate_synthetic, sample_gaussian,
+)
 from .errors import DivergenceError, EigenSolverError, NotPositiveDefiniteError
-from .evalcv import CvPlan, cross_validate
-from .model import GlassoProblem, LvggProblem, SolverConfig, psd_rank
-from .solver import solve_glasso, solve_lvgg
+from .evalcv import MODELS, CvPlan, cross_validate
+from .model import LvggProblem, SolverConfig, psd_rank
+from .solver import solve_lvgg
 from .symlin import SymMatrix, eig_sym, eigen_reconstruct
 
 __all__ = [
@@ -62,10 +64,6 @@ _FLAG_SUFFIX = {"binary": ".npy", "csv": ".csv"}
 # rescaled to each instance by 3000/p.
 _BENCH_PAIRS = ((0.0025, 0.21), (0.0025, 0.22), (0.0027, 0.21), (0.0027, 0.22))
 _BENCH_REFERENCE_P = 3000
-
-# The generator reserves seed..seed+9 for singular-block retries; the
-# sampling stream starts past that window.
-_SAMPLE_SEED_OFFSET = 10
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +339,8 @@ def cli_generate(args) -> tuple[dict, dict]:
         cross_block_scale=args.cross_block_scale,
     )
     truth = generate_synthetic(spec)
-    sample_seed = args.seed + _SAMPLE_SEED_OFFSET
+    # The sampling stream starts past the generator's seed window.
+    sample_seed = args.seed + _SEED_ATTEMPTS
     data = sample_gaussian(truth.k_marginal, args.n_samples, sample_seed)
     write_matrix(_matrix_path(out, "k_full", args.format), truth.k_full)
     write_matrix(_matrix_path(out, "k_marginal", args.format), truth.k_marginal)
@@ -380,8 +379,8 @@ def cli_solve(args) -> tuple[dict, dict]:
 def cli_glasso(args) -> tuple[dict, dict]:
     """Solve the sparse-only problem on a covariance file."""
     sigma = _load_covariance(args.cov)
-    problem = GlassoProblem(sigma, args.lam)
-    result, records = solve_glasso(problem, _solver_config(args))
+    problem = LvggProblem(sigma, args.lam, None)
+    result, records = solve_lvgg(problem, _solver_config(args))
     _write_result_files(args, result, records)
     return {}, {"converged": result.converged, "iters": result.iters}
 
@@ -503,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cv = subs.add_parser("cv", help="cross-validate a penalty grid")
     cv.add_argument("--data", type=Path, required=True, help="samples file (n x p)")
-    cv.add_argument("--model", choices=("lvgg", "sgg"), required=True)
+    cv.add_argument("--model", choices=MODELS, required=True)
     cv.add_argument("--grid1", type=_grid, required=True)
     cv.add_argument("--grid2", type=_grid, default=None, help="ignored for sgg")
     cv.add_argument("--folds", type=_int_at_least(2), default=10)

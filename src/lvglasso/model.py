@@ -1,11 +1,13 @@
 """Problem definitions, solver configuration/state, and objective evaluation.
 
-Two estimation problems live here: the latent-variable model (sparse minus
-low-rank decomposition of the marginal precision) and the plain sparse
-baseline (graphical lasso). Both penalize the entrywise l1 norm *including*
-the diagonal, which is how the objectives are written. The objective
-formula, the rank cutoff and the off-diagonal density are written once,
-here, for the solver sweep, the evaluators and the cross-validation score.
+One problem type poses both estimators: the latent-variable model (sparse
+minus low-rank decomposition of the marginal precision) and, with
+``lambda2=None``, the plain sparse baseline (graphical lasso), whose
+low-rank part is held at zero. Both penalize the entrywise l1 norm
+*including* the diagonal, which is how the objective is written. The
+objective formula, the rank cutoff and the off-diagonal density are written
+once, here, for the solver sweep, the evaluator and the cross-validation
+score.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from .symlin import SymMatrix, _eig_pd, _eigvals_sym
 
 __all__ = [
     "LvggProblem",
-    "GlassoProblem",
     "SolverConfig",
     "SolverState",
     "SolverResult",
     "eval_objective",
-    "eval_glasso_objective",
     "psd_rank",
     "offdiag_nnz",
 ]
@@ -43,35 +43,21 @@ class LvggProblem:
     """Latent-variable problem data: empirical covariance and penalty weights.
 
     Minimize ``-log det(S - L) + tr(sigma (S - L)) + lambda1*||S||_1
-    + lambda2*tr(L)`` over ``S - L > 0, L >= 0``.
+    + lambda2*tr(L)`` over ``S - L > 0, L >= 0``. ``lambda2=None`` holds L
+    at zero: the graphical lasso ``-log det S + tr(sigma S)
+    + lambda1*||S||_1``.
     """
 
     sigma: SymMatrix
     lambda1: float
-    lambda2: float
+    lambda2: float | None
 
     def __post_init__(self):
         # Zero weights are legal for evaluating the objective; estimation
         # proper wants both strictly positive.
         _check_weight("lambda1", self.lambda1)
-        _check_weight("lambda2", self.lambda2)
-        if np.any(np.diag(self.sigma.array) < 0):
-            raise ValueError("covariance diagonal must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.sigma.dim
-
-
-@dataclass(frozen=True)
-class GlassoProblem:
-    """Sparse-baseline problem data: ``-log det K + tr(sigma K) + lam*||K||_1``."""
-
-    sigma: SymMatrix
-    lam: float
-
-    def __post_init__(self):
-        _check_weight("lam", self.lam)
+        if self.lambda2 is not None:
+            _check_weight("lambda2", self.lambda2)
         if np.any(np.diag(self.sigma.array) < 0):
             raise ValueError("covariance diagonal must be nonnegative")
 
@@ -134,8 +120,8 @@ class SolverResult:
     """Converged estimates and structure/iteration summaries.
 
     objective is the last sweep's objective at (a_hat, l_hat): what
-    `eval_objective` (for the sparse baseline, `eval_glasso_objective` at
-    a_hat) gives up to round-off in the log-determinant. rank_l counts
+    `eval_objective` (for the sparse baseline, at ``(a_hat, None)``) gives
+    up to round-off in the log-determinant. rank_l counts
     eigenvalues of l_hat above ``RANK_TOL * max(1, lambda_max(l_hat))``;
     nnz_offdiag_s counts exactly-nonzero off-diagonal entries of s_hat and
     sparse_ratio_s divides by ``p*(p-1)``.
@@ -205,20 +191,19 @@ def _objective(logdet: float, a: np.ndarray, l: np.ndarray | None, sigma: np.nda
     return value + lambda1 * float(np.abs(a + l).sum()) + lambda2 * float(np.trace(l))
 
 
-def eval_objective(problem: LvggProblem, a: SymMatrix, l: SymMatrix) -> float:
+def eval_objective(problem: LvggProblem, a: SymMatrix, l: SymMatrix | None) -> float:
     """Latent-variable objective at (A, L), with S identified as A + L.
 
     ``-log det A + tr(A sigma) + lambda1*||A + L||_1 + lambda2*tr(L)``,
     the functional the stopping rule tracks. On the constraint set A = S - L
-    the l1 term equals ``lambda1*||S||_1``.
+    the l1 term equals ``lambda1*||S||_1``. For the graphical lasso
+    (``lambda2=None``) pass ``l=None``: the objective is
+    ``-log det A + tr(A sigma) + lambda1*||A||_1``, and any L is not read.
     """
+    if l is None and problem.lambda2 is not None:
+        raise ValueError("l is required when lambda2 is set")
     logdet = _logdet_pd(a, "objective undefined: a")
     return _objective(
-        logdet, a.array, l.array, problem.sigma.array, problem.lambda1, problem.lambda2
+        logdet, a.array, None if l is None else l.array, problem.sigma.array,
+        problem.lambda1, problem.lambda2,
     )
-
-
-def eval_glasso_objective(problem: GlassoProblem, k: SymMatrix) -> float:
-    """Sparse-baseline objective ``-log det K + tr(sigma K) + lam*||K||_1``."""
-    logdet = _logdet_pd(k, "objective undefined: k")
-    return _objective(logdet, k.array, None, problem.sigma.array, problem.lam, None)

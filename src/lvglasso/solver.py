@@ -4,10 +4,11 @@ One sweep of the latent-variable iteration performs four sequential block
 updates on the quadruple (A, S, L, U): a closed-form positive-definite
 A-update, an elementwise soft-threshold S-update, a spectral trace-shrink
 L-update, and a dual ascent step on the constraint A = S - L. The
-sparse-only baseline (graphical lasso) runs the same sweep and driver with
-L held at zero: its L-update and trace penalty are skipped.
+sparse-only baseline (graphical lasso) is the same problem with L held at
+zero: ``LvggProblem(sigma, lambda1, None)`` poses it, `solve_lvgg` solves
+it, and `sblvgg_step` skips its L-update and trace penalty.
 
-The penalty mu is adapted by residual balancing in the shared driver:
+The penalty mu is adapted by residual balancing in the driver `solve_lvgg`:
 ``SolverConfig.mu`` is the starting value, and after each sweep mu is
 doubled or halved when the primal and dual residuals are far apart. After
 a bounded number of changes mu stays fixed, so every run ends in the
@@ -20,13 +21,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError
 from .model import (
-    GlassoProblem,
     LvggProblem,
     SolverConfig,
     SolverResult,
@@ -53,7 +52,6 @@ __all__ = [
     "sblvgg_step",
     "check_stop",
     "solve_lvgg",
-    "solve_glasso",
     "kkt_residual",
 ]
 
@@ -87,32 +85,29 @@ class IterationRecord:
 def sblvgg_step(
     state: SolverState, problem: LvggProblem, config: SolverConfig
 ) -> SolverState:
-    """One four-block sweep of the latent-variable iteration at fixed
-    ``config.mu``.
+    """One sweep of the split Bregman iteration at fixed ``config.mu``.
 
     In order: A solves ``-A^{-1} - K + mu*A = 0`` with
     ``K = mu*(S - L) - sigma - U``; S soft-thresholds ``A + L + U/mu`` at
     ``lambda1/mu``; L trace-shrinks ``S - A - U/mu`` at ``lambda2/mu`` onto
-    the PSD cone; U ascends by ``mu*(A - S + L)``.
+    the PSD cone; U ascends by ``mu*(A - S + L)``. With ``lambda2=None``
+    (the graphical lasso) the L-update and the trace term are skipped, so
+    L keeps its value, zero from the default start, and every ``+ L``
+    adds an exact zero.
 
     The objective at the new iterate is computed here, reusing the
     A-update's eigenvalues for ``log det A`` so the sweep costs two
-    eigendecompositions, not three. A non-finite iterate or objective
-    raises DivergenceError carrying the last finite state.
+    eigendecompositions, not three. A state whose size differs from the
+    problem's raises ValueError; a non-finite iterate or objective raises
+    DivergenceError carrying the last finite state.
     """
-    return _sweep(state, problem.sigma.array, problem.lambda1, problem.lambda2, config.mu)
-
-
-def _sweep(
-    state: SolverState,
-    sigma: np.ndarray,
-    lambda1: float,
-    lambda2: float | None,
-    mu: float,
-) -> SolverState:
-    # The sweep of both models. lambda2=None is the graphical lasso: the
-    # L-update and the trace term are skipped, so L keeps its starting zero
-    # and every "+ l" below adds an exact zero.
+    if state.dim != problem.dim:
+        raise ValueError(
+            f"state dimension {state.dim} does not match problem dimension {problem.dim}"
+        )
+    sigma, lambda1, lambda2, mu = (
+        problem.sigma.array, problem.lambda1, problem.lambda2, config.mu
+    )
     s, l, u = state.s.array, state.l.array, state.u.array
     try:
         k = SymMatrix(mu * (s - l) - sigma - u)
@@ -182,21 +177,46 @@ def _default_init(dim: int) -> SolverState:
     return SolverState(a=eye, s=eye, l=zero, u=zero)
 
 
-def _solve(
-    step: Callable[[SolverState, SolverConfig], SolverState],
-    state: SolverState,
-    config: SolverConfig,
+def solve_lvgg(
+    problem: LvggProblem,
+    config: SolverConfig | None = None,
+    init: SolverState | None = None,
 ) -> tuple[SolverResult, list[IterationRecord]]:
-    # Shared driver: sweep until check_stop fires or max_iters elapse, then
-    # assemble the result from the last sweep's state and objective.
-    # step(state, config) sweeps at config.mu; config is rebuilt only when
-    # residual balancing changes mu.
+    """Estimate the sparse-minus-low-rank precision decomposition, or with
+    ``problem.lambda2=None`` the graphical lasso's sparse precision.
+
+    Runs `sblvgg_step` from ``S = I, L = 0, U = 0`` (or ``init``) until
+    `check_stop` fires or ``config.max_iters`` sweeps elapse. ``config.mu``
+    is the starting penalty: after each sweep it is doubled or halved when
+    the primal and dual residuals are far apart, at most a fixed number of
+    times, after which it stays fixed. Hitting the cap is reported via
+    ``converged=False`` in the result, not an exception; DivergenceError
+    propagates. For the graphical lasso L stays zero, so ``l_hat`` is zero
+    and ``rank_l = 0``; an ``init`` with a nonzero L raises ValueError.
+
+    Returns
+    -------
+    result : SolverResult
+        Final estimates with rank/sparsity summaries; ``objective`` is
+        the last sweep's objective, which is evaluated at (a_hat, l_hat).
+        ``s_hat`` carries the thresholded (exactly sparse) iterate,
+        ``a_hat`` the smooth one; at convergence they agree to the
+        stopping tolerance.
+    records : list of IterationRecord
+        One telemetry row per sweep performed, with the mu it used.
+    """
+    if config is None:
+        config = SolverConfig()
+    state = init if init is not None else _default_init(problem.dim)
+    if problem.lambda2 is None and np.any(state.l.array):
+        raise ValueError("the graphical lasso (lambda2=None) needs init.l = 0")
+    # config is rebuilt only when residual balancing changes mu.
     t0 = time.perf_counter()
     records: list[IterationRecord] = []
     converged = False
     mu_changes = 0
     for _ in range(config.max_iters):
-        prev, state = state, step(state, config)
+        prev, state = state, sblvgg_step(state, problem, config)
         records.append(IterationRecord(
             iter=state.iter,
             objective=state.last_objective,
@@ -233,60 +253,7 @@ def _solve(
     ), records
 
 
-def solve_lvgg(
-    problem: LvggProblem,
-    config: SolverConfig | None = None,
-    init: SolverState | None = None,
-) -> tuple[SolverResult, list[IterationRecord]]:
-    """Estimate the sparse-minus-low-rank precision decomposition.
-
-    Runs `sblvgg_step` from ``S = I, L = 0, U = 0`` (or ``init``) until
-    `check_stop` fires or ``config.max_iters`` sweeps elapse. ``config.mu``
-    is the starting penalty: after each sweep it is doubled or halved when
-    the primal and dual residuals are far apart, at most a fixed number of
-    times, after which it stays fixed. Hitting the cap is reported via
-    ``converged=False`` in the result, not an exception; DivergenceError
-    propagates.
-
-    Returns
-    -------
-    result : SolverResult
-        Final estimates with rank/sparsity summaries; ``objective`` is
-        the last sweep's objective, which is evaluated at (a_hat, l_hat).
-    records : list of IterationRecord
-        One telemetry row per sweep performed, with the mu it used.
-    """
-    if config is None:
-        config = SolverConfig()
-    return _solve(
-        lambda st, cfg: sblvgg_step(st, problem, cfg),
-        init if init is not None else _default_init(problem.dim),
-        config,
-    )
-
-
-def solve_glasso(
-    problem: GlassoProblem, config: SolverConfig | None = None
-) -> tuple[SolverResult, list[IterationRecord]]:
-    """Estimate a sparse precision matrix (no latent part).
-
-    Runs the same sweep and driver as `solve_lvgg` with L held at zero: the
-    L-update and the trace penalty are skipped, so the result's ``l_hat``
-    is zero and ``rank_l = 0`` by construction. ``config.mu`` is the
-    starting penalty, adapted by the same bounded schedule. ``s_hat``
-    carries the thresholded (exactly sparse) iterate, ``a_hat`` the smooth
-    one; at convergence they agree to the stopping tolerance.
-    """
-    if config is None:
-        config = SolverConfig()
-    return _solve(
-        lambda st, cfg: _sweep(st, problem.sigma.array, problem.lam, None, cfg.mu),
-        _default_init(problem.dim),
-        config,
-    )
-
-
-def kkt_residual(problem: LvggProblem | GlassoProblem, result: SolverResult) -> float:
+def kkt_residual(problem: LvggProblem, result: SolverResult) -> float:
     """Independent optimality certificate for a solve of either model.
 
     Measures, at (A, S, L) = (a_hat, s_hat, l_hat) with multiplier
@@ -300,14 +267,11 @@ def kkt_residual(problem: LvggProblem | GlassoProblem, result: SolverResult) -> 
         spectral norm of M compressed onto the range eigenvectors.
     (iii) primal feasibility ``||A - S + L||_F``.
 
-    Returns the max of the three. For a `GlassoProblem`, lambda1 is
-    ``lam`` and L is held at zero, so (ii) is skipped. A value below ~10x
-    the stopping tolerance of the run certifies approximate optimality.
+    Returns the max of the three. With ``lambda2=None`` (the graphical
+    lasso) L is held at zero, so (ii) is skipped. A value below ~10x the
+    stopping tolerance of the run certifies approximate optimality.
     """
-    if isinstance(problem, GlassoProblem):
-        lambda1, lambda2 = problem.lam, None
-    else:
-        lambda1, lambda2 = problem.lambda1, problem.lambda2
+    lambda1, lambda2 = problem.lambda1, problem.lambda2
     dec = _eig_pd(result.a_hat, "kkt residual undefined: a_hat")
     ainv = eigen_reconstruct(dec.eigenvectors, 1.0 / dec.eigenvalues)
     grad = ainv.array - problem.sigma.array

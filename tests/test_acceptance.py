@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from lvglasso import (
-    GlassoProblem,
     LatentModelSpec,
     LvggProblem,
     CvPlan,
@@ -28,7 +27,6 @@ from lvglasso import (
     psd_trace_shrink,
     sample_gaussian,
     soft_threshold,
-    solve_glasso,
     solve_lvgg,
     spd_functional_sqrt_update,
 )
@@ -213,7 +211,7 @@ def test_criterion_7_glasso_reduction():
     for seed in (101, 102, 103):
         sigma = wishart_sigma(50, np.random.default_rng(seed))
         lv, _ = solve_lvgg(LvggProblem(sigma, 0.1, 1e3), cfg)
-        gl, _ = solve_glasso(GlassoProblem(sigma, 0.1), cfg)
+        gl, _ = solve_lvgg(LvggProblem(sigma, 0.1, None), cfg)
         ok &= np.array_equal(lv.l_hat.array, np.zeros((50, 50)))
         ok &= lv.rank_l == 0
         ok &= np.abs(lv.s_hat.array - gl.s_hat.array).max() <= 1e-4

@@ -9,13 +9,13 @@ import pytest
 from lvglasso import (
     CvPlan,
     Dataset,
+    LvggProblem,
     NotPositiveDefiniteError,
     SolverConfig,
     SymMatrix,
     cross_validate,
     nloglike,
     sample_gaussian,
-    solve_glasso,
     solve_lvgg,
 )
 
@@ -117,8 +117,6 @@ def test_single_cell_cv_equals_direct_pipeline():
     perm = np.random.default_rng(5).permutation(data.n)
     train = data.take(perm[:n_train])
     test = data.take(perm[n_train:])
-    from lvglasso import LvggProblem
-
     res, _ = solve_lvgg(LvggProblem(train.covariance, 0.1, 0.2), cfg)
     assert report.heldout_nloglike == nloglike(res.a_hat, test.covariance)
     assert report.rank_l == res.rank_l
@@ -135,9 +133,7 @@ def test_single_cell_cv_sgg_matches_direct_pipeline():
 
     n_train = int(round(0.5 * data.n))
     perm = np.random.default_rng(8).permutation(data.n)
-    from lvglasso import GlassoProblem
-
-    res, _ = solve_glasso(GlassoProblem(data.take(perm[:n_train]).covariance, 0.15), cfg)
+    res, _ = solve_lvgg(LvggProblem(data.take(perm[:n_train]).covariance, 0.15, None), cfg)
     held = nloglike(res.a_hat, data.take(perm[n_train:]).covariance)
     assert report.heldout_nloglike == held
 

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from lvglasso import (
-    GlassoProblem,
     LvggProblem,
     NotPositiveDefiniteError,
     SolverConfig,
     SolverResult,
     SolverState,
     SymMatrix,
-    eval_glasso_objective,
     eval_objective,
     offdiag_nnz,
     psd_rank,
@@ -49,6 +47,12 @@ def test_lvgg_problem_rejects_negative_weights():
             LvggProblem(sigma, 0.1, bad)
 
 
+def test_lvgg_problem_requires_lambda2():
+    # the graphical lasso is asked for by lambda2=None, never by omission
+    with pytest.raises(TypeError):
+        LvggProblem(SymMatrix.identity(2), 0.1)
+
+
 def test_lvgg_problem_allows_zero_weights():
     # zero weights stay legal so the pure likelihood objective is evaluable
     LvggProblem(SymMatrix.identity(2), 0.0, 0.0)
@@ -60,12 +64,12 @@ def test_lvgg_problem_rejects_negative_covariance_diagonal():
 
 
 def test_glasso_problem_validation():
-    GlassoProblem(SymMatrix.identity(2), 0.0)
+    LvggProblem(SymMatrix.identity(2), 0.0, None)
     with pytest.raises(ValueError):
-        GlassoProblem(SymMatrix.identity(2), -0.5)
+        LvggProblem(SymMatrix.identity(2), -0.5, None)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            GlassoProblem(SymMatrix.identity(2), bad)
+            LvggProblem(SymMatrix.identity(2), bad, None)
 
 
 def test_solver_config_defaults_and_validation():
@@ -189,14 +193,20 @@ def test_eval_objective_strictly_convex_on_random_pairs():
 
 
 # ---------------------------------------------------------------------------
-# eval_glasso_objective
+# eval_objective of the graphical lasso (lambda2=None)
 
 
 def test_eval_glasso_objective_identity_cases():
     sigma = SymMatrix.identity(2)
     k = SymMatrix.identity(2)
-    assert abs(eval_glasso_objective(GlassoProblem(sigma, 0.0), k) - 2.0) < 1e-12
-    assert abs(eval_glasso_objective(GlassoProblem(sigma, 0.5), k) - 3.0) < 1e-12
+    assert abs(eval_objective(LvggProblem(sigma, 0.0, None), k, None) - 2.0) < 1e-12
+    assert abs(eval_objective(LvggProblem(sigma, 0.5, None), k, None) - 3.0) < 1e-12
+
+
+def test_eval_objective_needs_l_when_lambda2_is_set():
+    sigma = SymMatrix.identity(2)
+    with pytest.raises(ValueError, match="l is required"):
+        eval_objective(LvggProblem(sigma, 0.1, 0.2), sigma, None)
 
 
 def test_glasso_objective_agrees_with_lvgg_at_zero_l():
@@ -206,7 +216,7 @@ def test_glasso_objective_agrees_with_lvgg_at_zero_l():
         a = random_spd(3, rng)
         lam = float(rng.uniform(0.01, 1.0))
         lv = eval_objective(LvggProblem(sigma, lam, 5.0), a, SymMatrix.zeros(3))
-        gl = eval_glasso_objective(GlassoProblem(sigma, lam), a)
+        gl = eval_objective(LvggProblem(sigma, lam, None), a, None)
         assert abs(lv - gl) < 1e-12 * max(1.0, abs(gl))
 
 

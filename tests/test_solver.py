@@ -13,7 +13,6 @@ import pytest
 
 from lvglasso import (
     DivergenceError,
-    GlassoProblem,
     IterationRecord,
     LatentModelSpec,
     LvggProblem,
@@ -23,13 +22,11 @@ from lvglasso import (
     SolverState,
     SymMatrix,
     check_stop,
-    eval_glasso_objective,
     eval_objective,
     generate_synthetic,
     kkt_residual,
     sample_gaussian,
     sblvgg_step,
-    solve_glasso,
     solve_lvgg,
 )
 
@@ -142,11 +139,22 @@ def test_step_raises_divergence_with_state_attached():
     sigma = SymMatrix(1e160 * np.eye(2))
     for solve in (
         lambda: solve_lvgg(LvggProblem(sigma, 0.1, 0.2), SolverConfig()),
-        lambda: solve_glasso(GlassoProblem(sigma, 0.1), SolverConfig()),
+        lambda: solve_lvgg(LvggProblem(sigma, 0.1, None), SolverConfig()),
     ):
         with pytest.raises(DivergenceError) as info:
             solve()
         assert info.value.state is not None
+
+
+def test_state_of_another_size_is_a_value_error():
+    # a mismatched state is a caller's error, not a divergence
+    prob = LvggProblem(SymMatrix.identity(5), 0.1, 0.2)
+    for step in (
+        lambda: sblvgg_step(zero_state(3), prob, SolverConfig()),
+        lambda: solve_lvgg(prob, SolverConfig(), init=zero_state(3)),
+    ):
+        with pytest.raises(ValueError, match="3 does not match problem dimension 5"):
+            step()
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +341,12 @@ def test_solve_too_large_starting_mu_reaches_the_same_limit():
 
 
 # ---------------------------------------------------------------------------
-# solve_glasso
+# graphical lasso: solve_lvgg with lambda2=None
 
 
 def test_glasso_identity_closed_form():
-    prob = GlassoProblem(SymMatrix.identity(4), 0.1)
-    res, _ = solve_glasso(prob, SolverConfig(mu=0.1, epsilon=1e-6))
+    prob = LvggProblem(SymMatrix.identity(4), 0.1, None)
+    res, _ = solve_lvgg(prob, SolverConfig(mu=0.1, epsilon=1e-6))
     assert res.converged
     assert np.allclose(res.s_hat.array, np.eye(4) / 1.1, atol=1e-4)
     assert res.rank_l == 0
@@ -347,7 +355,7 @@ def test_glasso_identity_closed_form():
 
 def test_glasso_unpenalized_recovers_inverse():
     sigma = SymMatrix([[2.0, 0.3, 0.1], [0.3, 2.0, 0.2], [0.1, 0.2, 2.0]])
-    res, _ = solve_glasso(GlassoProblem(sigma, 0.0), SolverConfig(mu=0.1, epsilon=1e-7, max_iters=50000))
+    res, _ = solve_lvgg(LvggProblem(sigma, 0.0, None), SolverConfig(mu=0.1, epsilon=1e-7, max_iters=50000))
     assert np.allclose(res.s_hat.array, np.linalg.inv(sigma.array), atol=1e-4)
 
 
@@ -355,9 +363,9 @@ def test_glasso_matches_self_oracle():
     rng = np.random.default_rng(77)
     g = rng.standard_normal((9, 3))
     sigma = SymMatrix(g.T @ g / 9)
-    prob = GlassoProblem(sigma, 0.2)
-    res, _ = solve_glasso(prob, SolverConfig(mu=0.05, epsilon=1e-6, max_iters=50000))
-    oracle, _ = solve_glasso(prob, SolverConfig(mu=0.05, epsilon=1e-10, max_iters=200000))
+    prob = LvggProblem(sigma, 0.2, None)
+    res, _ = solve_lvgg(prob, SolverConfig(mu=0.05, epsilon=1e-6, max_iters=50000))
+    oracle, _ = solve_lvgg(prob, SolverConfig(mu=0.05, epsilon=1e-10, max_iters=200000))
     rel = abs(res.objective - oracle.objective) / max(1.0, abs(oracle.objective))
     assert rel < 1e-6
 
@@ -379,15 +387,46 @@ def transliterated_glasso_step(sigma, s, u, lam, mu):
     return a, s_new, u_new, objective
 
 
+def test_glasso_step_matches_transliterated_reference():
+    # one sblvgg_step on a lambda2=None problem is the two-block glasso
+    # sweep, and L stays exactly zero
+    rng = np.random.default_rng(22)
+    sigma = wishart_sigma(5, rng)
+    lam, mu = 0.15, 0.3
+    state = SolverState(
+        a=SymMatrix.identity(5), s=sigma, l=SymMatrix.zeros(5), u=SymMatrix(0.1 * sigma.array)
+    )
+    new = sblvgg_step(state, LvggProblem(sigma, lam, None), SolverConfig(mu=mu))
+    a, s, u, objective = transliterated_glasso_step(
+        sigma.array, state.s.array, state.u.array, lam, mu
+    )
+    assert np.allclose(new.a.array, a, atol=1e-12)
+    assert np.allclose(new.s.array, s, atol=1e-12)
+    assert np.allclose(new.u.array, u, atol=1e-12)
+    assert abs(new.last_objective - objective) <= 1e-12 * max(1.0, abs(objective))
+    assert np.array_equal(new.l.array, np.zeros((5, 5)))
+
+
+def test_glasso_init_with_nonzero_l_is_rejected():
+    # the sweep would hold a nonzero L fixed and solve a different problem
+    sigma = wishart_sigma(4, np.random.default_rng(23))
+    l = SymMatrix(0.01 * np.eye(4))
+    init = SolverState(a=SymMatrix.identity(4), s=SymMatrix.identity(4), l=l, u=SymMatrix.zeros(4))
+    with pytest.raises(ValueError, match="lambda2=None"):
+        solve_lvgg(LvggProblem(sigma, 0.1, None), SolverConfig(), init=init)
+    res, _ = solve_lvgg(LvggProblem(sigma, 0.1, 0.2), SolverConfig(max_iters=1), init=init)
+    assert res.iters == 1
+
+
 @pytest.mark.parametrize("sweeps", [1, 2, 3])
 def test_glasso_matches_transliterated_reference(sweeps):
-    # solve_glasso runs the latent-variable sweep with L held at zero; its
+    # lambda2=None runs the latent-variable sweep with L held at zero; its
     # first sweeps must equal the plain two-block glasso iteration
     rng = np.random.default_rng(21)
     sigma = wishart_sigma(5, rng)
     lam, mu = 0.15, 0.3
-    res, records = solve_glasso(
-        GlassoProblem(sigma, lam), SolverConfig(mu=mu, max_iters=sweeps)
+    res, records = solve_lvgg(
+        LvggProblem(sigma, lam, None), SolverConfig(mu=mu, max_iters=sweeps)
     )
     s, u = np.eye(5), np.zeros((5, 5))
     for i in range(sweeps):
@@ -403,28 +442,28 @@ def test_glasso_matches_transliterated_reference(sweeps):
 
 
 def test_glasso_balanced_mu_needs_half_the_fixed_sweeps():
-    # with lambda2 = 1e3 the trace shrink keeps L at zero, so looping
-    # sblvgg_step is the fixed-penalty glasso iteration
+    # looping sblvgg_step on the lambda2=None problem is the paper's
+    # fixed-penalty glasso iteration
     rng = np.random.default_rng(62)
     sigma = wishart_sigma(60, rng)
     cfg = SolverConfig(mu=0.01, epsilon=1e-6, max_iters=20000)
-    fixed_prob = LvggProblem(sigma, 0.1, 1e3)
-    res, records = solve_glasso(GlassoProblem(sigma, 0.1), cfg)
+    prob = LvggProblem(sigma, 0.1, None)
+    res, records = solve_lvgg(prob, cfg)
     assert res.converged
     stopped, last = fixed_penalty_run(
-        lambda st: sblvgg_step(st, fixed_prob, cfg), 60, cfg.epsilon, 2 * res.iters - 1
+        lambda st: sblvgg_step(st, prob, cfg), 60, cfg.epsilon, 2 * res.iters - 1
     )
     assert not stopped
     assert np.array_equal(last.l.array, np.zeros((60, 60)))
-    assert kkt_residual(fixed_prob, res) <= 10 * cfg.epsilon
+    assert kkt_residual(prob, res) <= 10 * cfg.epsilon
     assert records[0].mu == cfg.mu
 
 
 def test_glasso_too_large_starting_mu_reaches_the_same_limit():
     rng = np.random.default_rng(63)
-    prob = GlassoProblem(wishart_sigma(30, rng), 0.1)
-    big, records = solve_glasso(prob, SolverConfig(mu=5.0, epsilon=1e-8, max_iters=100000))
-    ref, _ = solve_glasso(prob, SolverConfig(mu=0.01, epsilon=1e-8, max_iters=100000))
+    prob = LvggProblem(wishart_sigma(30, rng), 0.1, None)
+    big, records = solve_lvgg(prob, SolverConfig(mu=5.0, epsilon=1e-8, max_iters=100000))
+    ref, _ = solve_lvgg(prob, SolverConfig(mu=0.01, epsilon=1e-8, max_iters=100000))
     assert big.converged and ref.converged
     assert records[0].mu == 5.0 and min(r.mu for r in records) < 5.0
     ds = np.linalg.norm(big.s_hat.array - ref.s_hat.array)
@@ -438,7 +477,7 @@ def test_lvgg_reduces_to_glasso_for_huge_lambda2():
     sigma = wishart_sigma(20, rng)
     cfg = SolverConfig(mu=0.05)
     lv, _ = solve_lvgg(LvggProblem(sigma, 0.1, 1e3), cfg)
-    gl, _ = solve_glasso(GlassoProblem(sigma, 0.1), cfg)
+    gl, _ = solve_lvgg(LvggProblem(sigma, 0.1, None), cfg)
     assert np.array_equal(lv.l_hat.array, np.zeros((20, 20)))
     assert np.abs(lv.s_hat.array - gl.s_hat.array).max() <= 1e-4
 
@@ -461,10 +500,10 @@ def test_result_objective_is_the_last_sweeps():
     want = eval_objective(prob, res.a_hat, res.l_hat)
     assert abs(res.objective - want) <= 1e-12 * abs(want)
 
-    gprob = GlassoProblem(sigma, 0.02)
-    res, recs = solve_glasso(gprob)
+    gprob = LvggProblem(sigma, 0.02, None)
+    res, recs = solve_lvgg(gprob)
     assert res.objective == recs[-1].objective
-    want = eval_glasso_objective(gprob, res.a_hat)
+    want = eval_objective(gprob, res.a_hat, None)
     assert abs(res.objective - want) <= 1e-12 * abs(want)
     assert res.rank_l == 0
 
@@ -498,16 +537,11 @@ def test_kkt_residual_zero_at_analytic_solution():
     assert kkt_residual(prob, res) <= 1e-8
 
 
-def solve_either(prob, cfg):
-    solve = solve_glasso if isinstance(prob, GlassoProblem) else solve_lvgg
-    return solve(prob, cfg)[0]
-
-
 def test_kkt_residual_detects_perturbation():
     sigma = wishart_sigma(4, np.random.default_rng(21))
     cfg = SolverConfig(mu=0.05, epsilon=1e-8, max_iters=100000)
-    for prob in (LvggProblem(sigma, 0.1, 0.2), GlassoProblem(sigma, 0.1)):
-        res = solve_either(prob, cfg)
+    for prob in (LvggProblem(sigma, 0.1, 0.2), LvggProblem(sigma, 0.1, None)):
+        res, _ = solve_lvgg(prob, cfg)
         assert kkt_residual(prob, res) <= 1e-6
         bumped = res.s_hat.array.copy()
         bumped[0, 0] += 0.1
@@ -523,10 +557,10 @@ def test_kkt_residual_small_after_tight_convergence():
     sampled = sample_gaussian(truth.k_marginal, 120, seed=4).covariance
     for prob in (
         LvggProblem(sigma, 0.1, 0.2),
-        GlassoProblem(sigma, 0.1),
-        GlassoProblem(sampled, 0.05),
+        LvggProblem(sigma, 0.1, None),
+        LvggProblem(sampled, 0.05, None),
     ):
-        res = solve_either(prob, cfg)
+        res, _ = solve_lvgg(prob, cfg)
         assert res.converged
         assert kkt_residual(prob, res) <= 10 * eps
 
