@@ -95,6 +95,11 @@ class SolverState:
     """The splitting quadruple (A, S, L, U) plus iteration telemetry.
 
     U is the (unscaled) dual variable of the constraint A = S - L.
+    l_kept is the number of eigenpairs the last L-update kept (eigenvalues
+    of its input above lambda2/mu, which is rank(L) up to round-off); the
+    next L-update computes only the eigenpairs above the threshold while
+    l_kept is at most p/8. It is 0 before the first sweep and for the
+    graphical lasso, which has no L-update.
     """
 
     a: SymMatrix
@@ -104,6 +109,7 @@ class SolverState:
     iter: int = 0
     last_objective: float = math.inf
     primal_residual: float = math.inf
+    l_kept: int = 0
 
     def __post_init__(self):
         dims = {self.a.dim, self.s.dim, self.l.dim, self.u.dim}

@@ -64,6 +64,13 @@ _MU_RATIO = 10.0
 _MU_FACTOR = 2.0
 _MU_MAX_CHANGES = 10
 
+# The L-update computes only the eigenpairs above lambda2/mu while the
+# previous one kept at most p/_PARTIAL_DIVISOR of them, and runs a full
+# eigendecomposition otherwise. At 2 BLAS threads the partial solve broke
+# even with the full one at about k = 15, 35 and 60 kept of p = 100, 200
+# and 400, and took 5x as long at k = p.
+_PARTIAL_DIVISOR = 8
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -97,7 +104,10 @@ def sblvgg_step(
 
     The objective at the new iterate is computed here, reusing the
     A-update's eigenvalues for ``log det A`` so the sweep costs two
-    eigendecompositions, not three. A state whose size differs from the
+    eigendecompositions, not three. The A-update's is always full; the
+    L-update's is partial (only the eigenpairs above ``lambda2/mu``) while
+    ``state.l_kept``, the count the previous L-update kept, is at most p/8,
+    and full otherwise. A state whose size differs from the
     problem's raises ValueError; a non-finite iterate or objective raises
     DivergenceError carrying the last finite state.
     """
@@ -115,10 +125,11 @@ def sblvgg_step(
         a_eigs = sqrt_update_eigenvalues(dec.eigenvalues, mu)
         a = eigen_reconstruct(dec.eigenvectors, a_eigs)
         s_new = soft_threshold(SymMatrix(a.array + l + u / mu), lambda1 / mu)
-        l_new = state.l
+        l_new, l_kept = state.l, state.l_kept
         if lambda2 is not None:
-            l_new = psd_trace_shrink(
-                SymMatrix(s_new.array - a.array - u / mu), lambda2 / mu
+            l_new, l_kept = psd_trace_shrink(
+                SymMatrix(s_new.array - a.array - u / mu), lambda2 / mu,
+                partial=_PARTIAL_DIVISOR * state.l_kept <= problem.dim,
             )
         gap = a.array - s_new.array + l_new.array
         u_new = SymMatrix(u + mu * gap)
@@ -142,6 +153,7 @@ def sblvgg_step(
         iter=state.iter + 1,
         last_objective=objective,
         primal_residual=float(np.linalg.norm(gap)),
+        l_kept=l_kept,
     )
 
 

@@ -7,12 +7,20 @@ thresholding and eigenvalue shrinkage onto the PSD cone). Every
 eigensolve, ``V f(w) V^T`` assembly and symmetric mirror of the package is
 here, as is the positive-definite gate the other modules apply.
 
+This is also the one home of direct LAPACK access: the partial-spectrum
+path of `psd_trace_shrink` calls ``dsyevr`` from the OpenBLAS that numpy
+itself loaded, through ctypes, so the process keeps one BLAS library and
+one thread pool. The symbol is resolved on first use; on a numpy build that
+does not export it, that path falls back to the full eigendecomposition.
+
 All operations are pure; :class:`SymMatrix` values are immutable and safe to
 share across threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +101,7 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class EigenDecomp:
-    """Full symmetric eigendecomposition, eigenvalues ascending.
+    """Symmetric eigendecomposition, full or partial, eigenvalues ascending.
 
     Column ``i`` of ``eigenvectors`` pairs with ``eigenvalues[i]``.
     """
@@ -102,18 +110,73 @@ class EigenDecomp:
     eigenvectors: np.ndarray
 
 
+def _eig_error(x: SymMatrix) -> EigenSolverError:
+    fro = float(np.linalg.norm(x.array))
+    max_abs = float(np.abs(x.array).max())
+    return EigenSolverError(
+        f"symmetric eigensolver failed to converge: dim={x.dim}, "
+        f"fro_norm={fro:.6e}, max_abs_entry={max_abs:.6e}"
+    )
+
+
 def eig_sym(x: SymMatrix) -> EigenDecomp:
     """Full eigendecomposition of a symmetric matrix, eigenvalues ascending."""
     try:
         w, v = np.linalg.eigh(x.array)
     except np.linalg.LinAlgError as exc:
-        fro = float(np.linalg.norm(x.array))
-        max_abs = float(np.abs(x.array).max())
-        raise EigenSolverError(
-            f"symmetric eigensolver failed to converge: dim={x.dim}, "
-            f"fro_norm={fro:.6e}, max_abs_entry={max_abs:.6e}"
-        ) from exc
+        raise _eig_error(x) from exc
     return EigenDecomp(eigenvalues=w, eigenvectors=v)
+
+
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def _lapacke_dsyevr():
+    # LAPACKE_dsyevr (64-bit integers) from the OpenBLAS numpy.linalg links
+    # against, looked up through numpy's own extension module so no second
+    # BLAS library is loaded; None when that build exports no such symbol.
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        fn = lib.scipy_LAPACKE_dsyevr64_
+    except (AttributeError, OSError):
+        return None
+    lint = ctypes.c_int64
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    fn.argtypes = [
+        ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,  # layout jobz range uplo
+        lint, f64, lint,                                            # n a lda
+        ctypes.c_double, ctypes.c_double, lint, lint, ctypes.c_double,  # vl vu il iu abstol
+        i64, f64, f64, lint, i64,                                   # m w z ldz isuppz
+    ]
+    fn.restype = lint
+    return fn
+
+
+def _eig_sym_above(x: SymMatrix, eta: float) -> EigenDecomp | None:
+    # The eigenpairs of x with eigenvalue in (eta, +inf), ascending, from
+    # LAPACK dsyevr; None when the binding is unavailable. Past the shared
+    # tridiagonal reduction, bisection and inverse iteration cost O(p^2 k)
+    # for k eigenpairs instead of the O(p^3) of a full solve.
+    dsyevr = _lapacke_dsyevr()
+    if dsyevr is None:
+        return None
+    a = np.array(x.array, order="F")  # dsyevr overwrites its input
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] \
+            or not a.flags.f_contiguous:
+        raise ValueError(f"dsyevr needs a square contiguous float64 matrix, got {a.shape}")
+    n = a.shape[0]
+    w = np.empty(n)
+    z = np.empty((n, n), order="F")  # the kept count is unknown until the solve
+    isuppz = np.empty(2 * n, dtype=np.int64)
+    m = np.zeros(1, dtype=np.int64)
+    info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"V", b"L", n, a, n,
+                  eta, np.inf, 0, 0, 0.0, m, w, z, n, isuppz)
+    if info != 0:
+        raise _eig_error(x)
+    k = int(m[0])
+    return EigenDecomp(eigenvalues=w[:k], eigenvectors=z[:, :k])
 
 
 def _eigvals_sym(x: SymMatrix) -> np.ndarray:
@@ -178,13 +241,27 @@ def soft_threshold(x: SymMatrix, tau: float) -> SymMatrix:
     return SymMatrix(np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0))
 
 
-def psd_trace_shrink(x: SymMatrix, eta: float) -> SymMatrix:
+def psd_trace_shrink(
+    x: SymMatrix, eta: float, partial: bool = False
+) -> tuple[SymMatrix, int]:
     """Proximal operator of ``eta*tr(.)`` restricted to the PSD cone.
 
     Minimizes ``eta*tr(Y) + 0.5*||Y - X||_F^2`` over ``Y >= 0``: eigenvalues
     of X are shifted down by ``eta`` and clipped at zero, in X's eigenbasis.
+    Returns the minimizer and k, the number of eigenvalues of X above
+    ``eta`` (the rank of the minimizer).
+
+    With ``partial=True`` only those k eigenpairs are computed (LAPACK
+    ``dsyevr`` on the interval ``(eta, +inf)``) and the rank-k product
+    ``V_k (w_k - eta) V_k^T`` is assembled; that pays while k is a small
+    share of p, and is much slower than the full path when k nears p. Where
+    numpy's LAPACK exports no ``dsyevr``, the full path runs instead. Both
+    paths agree to round-off.
     """
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    dec = eig_sym(x)
-    return eigen_reconstruct(dec.eigenvectors, np.maximum(dec.eigenvalues - eta, 0.0))
+    dec = _eig_sym_above(x, eta) if partial else None
+    if dec is None:
+        dec = eig_sym(x)
+    w = np.maximum(dec.eigenvalues - eta, 0.0)
+    return eigen_reconstruct(dec.eigenvectors, w), int(np.count_nonzero(w))

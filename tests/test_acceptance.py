@@ -67,13 +67,13 @@ def test_criterion_1_proximal_operator_unit_suite():
     x = random_symmetric(4, np.random.default_rng(0))
     ok &= np.array_equal(soft_threshold(x, 0.0).array, x.array)
 
-    out = psd_trace_shrink(SymMatrix(np.diag([3.0, 0.5, -1.0])), 1.0)
+    out, _ = psd_trace_shrink(SymMatrix(np.diag([3.0, 0.5, -1.0])), 1.0)
     ok &= np.abs(out.array - np.diag([2.0, 0.0, 0.0])).max() < 1e-12
-    out = psd_trace_shrink(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+    out, _ = psd_trace_shrink(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), 0.5)
     ok &= np.abs(out.array - np.full((2, 2), 0.25)).max() < 1e-12
     g = np.random.default_rng(1).standard_normal((3, 3))
     psd = SymMatrix(g @ g.T)
-    ok &= np.abs(psd_trace_shrink(psd, 0.0).array - psd.array).max() < 1e-12
+    ok &= np.abs(psd_trace_shrink(psd, 0.0)[0].array - psd.array).max() < 1e-12
 
     # independent projected-gradient oracle on the shrink objective
     def objective(y, x, eta):
@@ -93,7 +93,7 @@ def test_criterion_1_proximal_operator_unit_suite():
         for _ in range(100):
             x = random_symmetric(p, rng, scale=float(rng.uniform(0.2, 3.0))).array
             eta = float(rng.uniform(0.0, 2.0))
-            got = psd_trace_shrink(SymMatrix(x), eta).array
+            got = psd_trace_shrink(SymMatrix(x), eta)[0].array
             ok &= objective(got, x, eta) <= objective(pg_oracle(x, eta), x, eta) + 1e-8
 
     report(1, "proximal operator unit suite", ok)

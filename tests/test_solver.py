@@ -6,11 +6,13 @@ solves are checked against closed forms, high-accuracy self-oracles, and
 the KKT residual certificate.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from lvglasso import symlin
 from lvglasso import (
     DivergenceError,
     IterationRecord,
@@ -286,6 +288,67 @@ def test_solve_respects_custom_init():
     warm_res, _ = solve_lvgg(prob, cfg, init=warm)
     rel = abs(warm_res.objective - default_res.objective) / max(1.0, abs(default_res.objective))
     assert rel < 1e-6  # same optimum from a different start
+
+
+@functools.cache
+def cv_p100_covariance():
+    # the p=100 latent-variable truth and sample size of the CV benchmark
+    truth = generate_synthetic(
+        LatentModelSpec(p_obs=100, p_hidden=10, target_sparsity=0.05, seed=7)
+    )
+    return sample_gaussian(truth.k_marginal, n=600, seed=10).covariance
+
+
+# lambda2=0.3 keeps rank(L) at 2, below p/8, so every L-update is partial;
+# lambda2=0.01 reaches rank 55 > p/8, so the L-update turns full.
+@pytest.mark.parametrize("lambda2", [0.3, 0.01], ids=["low-rank", "high-rank"])
+def test_partial_l_update_matches_the_full_path(monkeypatch, lambda2):
+    eps = 1e-6
+    prob = LvggProblem(cv_p100_covariance(), 0.02, lambda2)
+    cfg = SolverConfig(epsilon=eps)
+    partial_calls = []
+    eig_sym_above = symlin._eig_sym_above
+
+    def counted(x, eta):
+        partial_calls.append(x.dim)
+        return eig_sym_above(x, eta)
+
+    monkeypatch.setattr(symlin, "_eig_sym_above", counted)
+    res, _ = solve_lvgg(prob, cfg)
+    n_partial = len(partial_calls)
+    monkeypatch.setattr(symlin, "_lapacke_dsyevr", lambda: None)  # binding unavailable
+    ref, _ = solve_lvgg(prob, cfg)
+
+    assert res.converged and ref.converged
+    assert (res.iters, res.rank_l) == (ref.iters, ref.rank_l)
+    for name in ("s_hat", "l_hat", "a_hat"):
+        assert np.abs(getattr(res, name).array - getattr(ref, name).array).max() <= 1e-10
+    assert kkt_residual(prob, res) <= 10 * eps
+    low_rank = 8 * res.rank_l <= prob.dim
+    assert low_rank == (lambda2 == 0.3)
+    if low_rank:
+        assert n_partial == res.iters
+    else:
+        assert 0 < n_partial < res.iters / 4
+
+
+@pytest.mark.parametrize("lambda2", [0.3, 0.01])
+def test_state_carries_the_l_update_kept_count(lambda2):
+    # l_kept counts the eigenvalues of S - A - U/mu above lambda2/mu, as a
+    # full eigendecomposition of the L-update's input finds them
+    prob = LvggProblem(cv_p100_covariance(), 0.02, lambda2)
+    cfg = SolverConfig(mu=0.01)
+    state = zero_state(prob.dim)
+    assert state.l_kept == 0
+    counts = []
+    for _ in range(30):
+        new = sblvgg_step(state, prob, cfg)
+        x = SymMatrix(new.s.array - new.a.array - state.u.array / cfg.mu)
+        ref = int(np.count_nonzero(np.linalg.eigvalsh(x.array) > lambda2 / cfg.mu))
+        assert new.l_kept == ref
+        counts.append(ref)
+        state = new
+    assert max(counts) > 0
 
 
 def fixed_penalty_run(sweep, dim, epsilon, sweeps):

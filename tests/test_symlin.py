@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lvglasso
+from lvglasso import symlin
 from lvglasso import (
     EigenSolverError,
     SymMatrix,
@@ -218,29 +219,111 @@ def test_soft_threshold_nonexpansive():
 # ---------------------------------------------------------------------------
 # psd_trace_shrink
 
+# partial=True computes only the eigenpairs above eta (LAPACK dsyevr);
+# partial=False runs the full eigendecomposition. Both must give the same prox.
+PATHS = (False, True)
+
 
 def test_psd_trace_shrink_diagonal_case():
-    out = psd_trace_shrink(SymMatrix(np.diag([3.0, 0.5, -1.0])), 1.0)
-    assert np.allclose(out.array, np.diag([2.0, 0.0, 0.0]), atol=1e-14)
+    # the eigenvalue 1.0 equals eta: it shrinks to zero and is not kept
+    for partial in PATHS:
+        out, kept = psd_trace_shrink(SymMatrix(np.diag([3.0, 1.0, 0.5, -1.0])), 1.0, partial)
+        assert np.allclose(out.array, np.diag([2.0, 0.0, 0.0, 0.0]), atol=1e-14)
+        assert kept == 1
 
 
 def test_psd_trace_shrink_eta_zero_fixes_psd_input():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((4, 4))
     x = SymMatrix(g @ g.T)
-    assert np.allclose(psd_trace_shrink(x, 0.0).array, x.array, atol=1e-12)
+    for partial in PATHS:
+        out, kept = psd_trace_shrink(x, 0.0, partial)
+        assert np.allclose(out.array, x.array, atol=1e-12)
+        assert kept == 4
 
 
 def test_psd_trace_shrink_offdiagonal_hand_case():
     # [[0,1],[1,0]] has eigenpairs (-1, (1,-1)) and (1, (1,1)); only the
     # positive one survives eta=0.5, leaving 0.5 * vv^T with v=(1,1)/sqrt2.
-    out = psd_trace_shrink(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), 0.5)
-    assert np.allclose(out.array, np.full((2, 2), 0.25), atol=1e-12)
+    for partial in PATHS:
+        out, kept = psd_trace_shrink(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), 0.5, partial)
+        assert np.allclose(out.array, np.full((2, 2), 0.25), atol=1e-12)
+        assert kept == 1
 
 
 def test_psd_trace_shrink_rejects_negative_eta():
-    with pytest.raises(ValueError):
-        psd_trace_shrink(SymMatrix.identity(2), -0.5)
+    for partial in PATHS:
+        with pytest.raises(ValueError):
+            psd_trace_shrink(SymMatrix.identity(2), -0.5, partial)
+
+
+def eigh_shrink_reference(x, eta):
+    w, v = np.linalg.eigh(x)
+    return (v * np.maximum(w - eta, 0.0)) @ v.T, int(np.count_nonzero(w > eta))
+
+
+@pytest.mark.parametrize("partial", PATHS, ids=["full", "partial"])
+@pytest.mark.parametrize("p", [1, 2, 7, 60, 150])
+def test_psd_trace_shrink_matches_full_eigh_reference(p, partial):
+    rng = np.random.default_rng(p)
+    x = random_symmetric(p, rng).array
+    w = np.linalg.eigvalsh(x)
+    lifted = x + (1.0 - w[0]) * np.eye(p)  # lambda_min = 1
+    # eta midway between two eigenvalues, so neither sits on the threshold
+    below = w[p // 2 - 1] if p > 1 else w[0] - 1.0
+    cases = [
+        (x, 0.0),
+        (x, max(0.0, float(w[p // 2] + below) / 2.0)),
+        (lifted, 0.5),  # eta below lambda_min: every eigenpair is kept
+    ]
+    for arr, eta in cases:
+        got, kept = psd_trace_shrink(SymMatrix(arr), eta, partial)
+        ref, ref_kept = eigh_shrink_reference(arr, eta)
+        assert np.abs(got.array - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(arr))
+        assert kept == ref_kept
+    assert kept == p
+    # eta above lambda_max: nothing is kept and the prox is exactly zero
+    out, kept = psd_trace_shrink(SymMatrix(x), abs(float(w[-1])) + 1.0, partial)
+    assert np.array_equal(out.array, np.zeros((p, p)))
+    assert kept == 0
+
+
+def numpy_bundles_openblas64():
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return lapack.get("name") == "scipy-openblas" and "USE64BITINT" in str(
+        lapack.get("openblas configuration", "")
+    )
+
+
+@pytest.mark.skipif(not numpy_bundles_openblas64(), reason="numpy ships no bundled OpenBLAS")
+def test_partial_path_is_active_with_numpys_openblas(monkeypatch):
+    # a packaging change that loses the dsyevr binding would silently fall
+    # back to the full path; here the full eigensolver must not be reached
+    assert symlin._lapacke_dsyevr() is not None
+
+    def no_full_solve(x):
+        raise AssertionError("partial path fell back to eig_sym")
+
+    monkeypatch.setattr(symlin, "eig_sym", no_full_solve)
+    x = random_symmetric(30, np.random.default_rng(12))
+    out, kept = psd_trace_shrink(x, 1.0, partial=True)
+    ref, ref_kept = eigh_shrink_reference(x.array, 1.0)
+    assert kept == ref_kept
+    assert np.abs(out.array - ref).max() <= 1e-12 * np.linalg.norm(x.array)
+
+
+def test_partial_path_failure_is_an_eigensolver_error(monkeypatch):
+    # LAPACK info != 0 maps to the same diagnostics as a failed eig_sym
+    monkeypatch.setattr(symlin, "_lapacke_dsyevr", lambda: lambda *args: 1)
+    with pytest.raises(EigenSolverError, match=r"dim=3, fro_norm=.*max_abs_entry="):
+        psd_trace_shrink(SymMatrix(np.diag([1.0, 2.0, 3.0])), 0.5, partial=True)
+
+
+def test_partial_path_falls_back_without_binding(monkeypatch):
+    monkeypatch.setattr(symlin, "_lapacke_dsyevr", lambda: None)
+    out, kept = psd_trace_shrink(SymMatrix(np.diag([3.0, 0.5])), 1.0, partial=True)
+    assert np.array_equal(out.array, np.diag([2.0, 0.0]))
+    assert kept == 1
 
 
 def shrink_objective(y, x, eta):
@@ -264,7 +347,7 @@ def test_psd_trace_shrink_matches_projected_gradient_reference():
         p = int(rng.choice([2, 3]))
         x = random_symmetric(p, rng).array
         eta = float(rng.uniform(0.0, 2.0))
-        got = psd_trace_shrink(SymMatrix(x), eta).array
+        got = psd_trace_shrink(SymMatrix(x), eta)[0].array
         ref = projected_gradient_shrink(x, eta)
         assert shrink_objective(got, x, eta) <= shrink_objective(ref, x, eta) + 1e-8
         assert np.linalg.eigvalsh(got)[0] >= -1e-12
@@ -278,7 +361,7 @@ def test_psd_trace_shrink_beats_dense_grid_on_2x2():
     for _ in range(5):
         x = random_symmetric(2, rng).array
         eta = float(rng.uniform(0.1, 1.0))
-        got = psd_trace_shrink(SymMatrix(x), eta).array
+        got = psd_trace_shrink(SymMatrix(x), eta)[0].array
         best = np.inf
         for a in ticks:
             for c in ticks:
@@ -293,8 +376,17 @@ def test_psd_trace_shrink_beats_dense_grid_on_2x2():
 # One home for the eigensolver
 
 
+def imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module]
+    return []
+
+
 def test_only_symlin_calls_numpy_eigensolvers():
-    # np.linalg.<solver> anywhere in the package but symlin.py is a finding
+    # np.linalg.<solver> or an import of ctypes (direct LAPACK access)
+    # anywhere in the package but symlin.py is a finding
     found = []
     for path in sorted(Path(lvglasso.__file__).parent.glob("*.py")):
         if path.name == "symlin.py":
@@ -307,4 +399,9 @@ def test_only_symlin_calls_numpy_eigensolvers():
                 and node.value.attr == "linalg"
             ):
                 found.append(f"{path.name}:{node.lineno} {node.attr}")
+            found += [
+                f"{path.name}:{node.lineno} import {name}"
+                for name in imported_modules(node)
+                if name.split(".")[0] == "ctypes"
+            ]
     assert found == []
