@@ -36,7 +36,7 @@ from .datagen import (
 from .errors import DivergenceError, EigenSolverError, NotPositiveDefiniteError
 from .evalcv import MODELS, CvPlan, cross_validate
 from .model import LvggProblem, SolverConfig, psd_rank
-from .solver import solve_lvgg
+from .solver import kkt_residual, solve_lvgg
 from .symlin import SymMatrix, eig_sym, eigen_reconstruct
 
 __all__ = [
@@ -300,13 +300,16 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(mu=args.mu, epsilon=args.eps, max_iters=args.max_iters)
 
 
-def _write_result_files(args, result, records) -> None:
+def _write_result_files(args, problem, result, records) -> None:
     out: Path = args.out
     names = {"solve": ("s_hat", "l_hat"), "glasso": ("k_hat", None)}[args.command]
     write_matrix(_matrix_path(out, names[0], args.format), result.s_hat)
     if names[1] is not None:
         write_matrix(_matrix_path(out, names[1], args.format), result.l_hat)
-    _write_json(out / "result.json", result.to_json_dict())
+    _write_json(
+        out / "result.json",
+        {**result.to_json_dict(), "kkt_residual": kkt_residual(problem, result)},
+    )
     if args.telemetry:
         with open(out / "telemetry.ndjson", "w") as f:
             for r in records:
@@ -372,7 +375,7 @@ def cli_solve(args) -> tuple[dict, dict]:
     sigma = _load_covariance(args.cov)
     problem = LvggProblem(sigma, args.lambda1, args.lambda2)
     result, records = solve_lvgg(problem, _solver_config(args))
-    _write_result_files(args, result, records)
+    _write_result_files(args, problem, result, records)
     return {}, {"converged": result.converged, "iters": result.iters}
 
 
@@ -381,7 +384,7 @@ def cli_glasso(args) -> tuple[dict, dict]:
     sigma = _load_covariance(args.cov)
     problem = LvggProblem(sigma, args.lam, None)
     result, records = solve_lvgg(problem, _solver_config(args))
-    _write_result_files(args, result, records)
+    _write_result_files(args, problem, result, records)
     return {}, {"converged": result.converged, "iters": result.iters}
 
 

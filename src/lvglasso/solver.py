@@ -8,12 +8,22 @@ sparse-only baseline (graphical lasso) is the same problem with L held at
 zero: ``LvggProblem(sigma, lambda1, None)`` poses it, `solve_lvgg` solves
 it, and `sblvgg_step` skips its L-update and trace penalty.
 
+The sweep is over-relaxed (Eckstein & Bertsekas 1992; Boyd et al. 2011,
+section 3.4.3): the S-, L- and U-updates read the blend
+``A_hat = alpha*A + (1 - alpha)*(S - L)`` of the new A and the incoming
+S - L, with the constant alpha = 1.7; alpha = 1 is the paper's sweep. The
+reported primal residual, objective and stopping rule stay at the new A.
+
 The penalty mu is adapted by residual balancing in the driver `solve_lvgg`:
 ``SolverConfig.mu`` is the starting value, and after each sweep mu is
-doubled or halved when the primal and dual residuals are far apart. After
-a bounded number of changes mu stays fixed, so every run ends in the
-paper's fixed-penalty iteration. The per-sweep primitive `sblvgg_step`
-always uses the ``mu`` of the config it is given.
+doubled or halved when the relaxed primal residual ``||U_k - U_{k-1}||/mu``
+and the dual residual are far apart. After a bounded number of changes mu
+stays fixed, so every run ends in the relaxed fixed-penalty iteration. For
+the two-block graphical lasso that iteration converges for any alpha in
+(0, 2) (Eckstein & Bertsekas 1992); for the three-block latent-variable
+sweep no theorem covers it, and each solve is certified by `kkt_residual`
+instead. The per-sweep primitive `sblvgg_step` always uses the ``mu`` of
+the config it is given.
 """
 
 from __future__ import annotations
@@ -56,10 +66,10 @@ __all__ = [
 ]
 
 # Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, section 3.4.1):
-# after a sweep, mu is multiplied by _MU_FACTOR when the primal residual
-# exceeds _MU_RATIO times the dual residual and divided by it in the reverse
-# case. After _MU_MAX_CHANGES changes mu stays fixed, so the tail of every
-# run is the fixed-penalty iteration and its convergence guarantee applies.
+# after a sweep, mu is multiplied by _MU_FACTOR when the relaxed primal
+# residual exceeds _MU_RATIO times the dual residual and divided by it in
+# the reverse case. After _MU_MAX_CHANGES changes mu stays fixed, so the
+# tail of every run is the relaxed fixed-penalty iteration.
 _MU_RATIO = 10.0
 _MU_FACTOR = 2.0
 _MU_MAX_CHANGES = 10
@@ -70,6 +80,12 @@ _MU_MAX_CHANGES = 10
 # even with the full one at about k = 15, 35 and 60 kept of p = 100, 200
 # and 400, and took 5x as long at k = p.
 _PARTIAL_DIVISOR = 8
+
+# Over-relaxation (Eckstein & Bertsekas 1992; Boyd et al. 2011, section
+# 3.4.3): the S-, L- and U-updates read _RELAX * A + (1 - _RELAX) * (S - L)
+# in place of the new A. 1.0 is the paper's sweep. On the benchmark inputs
+# 1.7 took 29-45% fewer sweeps than 1.0, and fewer in total than 1.6 or 1.8.
+_RELAX = 1.7
 
 
 @dataclass(frozen=True)
@@ -95,12 +111,17 @@ def sblvgg_step(
     """One sweep of the split Bregman iteration at fixed ``config.mu``.
 
     In order: A solves ``-A^{-1} - K + mu*A = 0`` with
-    ``K = mu*(S - L) - sigma - U``; S soft-thresholds ``A + L + U/mu`` at
-    ``lambda1/mu``; L trace-shrinks ``S - A - U/mu`` at ``lambda2/mu`` onto
-    the PSD cone; U ascends by ``mu*(A - S + L)``. With ``lambda2=None``
-    (the graphical lasso) the L-update and the trace term are skipped, so
-    L keeps its value, zero from the default start, and every ``+ L``
-    adds an exact zero.
+    ``K = mu*(S - L) - sigma - U``; the over-relaxed
+    ``A_hat = alpha*A + (1 - alpha)*(S - L)`` blends it with the incoming
+    S and L (alpha = ``_RELAX``; 1 is the paper's sweep); S
+    soft-thresholds ``A_hat + L + U/mu`` at ``lambda1/mu``; L trace-shrinks
+    ``S - A_hat - U/mu`` at ``lambda2/mu`` onto the PSD cone; U ascends by
+    ``mu*(A_hat - S + L)``. The returned ``primal_residual`` is the
+    unrelaxed ``||A - S + L||_F`` and the objective is taken at the new
+    (A, L). With ``lambda2=None`` (the graphical lasso) the L-update and
+    the trace term are skipped, so L keeps its value, zero from the default
+    start, every ``+ L`` adds an exact zero, and ``A_hat`` is
+    ``alpha*A + (1 - alpha)*S``.
 
     The objective at the new iterate is computed here, reusing the
     A-update's eigenvalues for ``log det A`` so the sweep costs two
@@ -124,15 +145,16 @@ def sblvgg_step(
         dec = eig_sym(k)
         a_eigs = sqrt_update_eigenvalues(dec.eigenvalues, mu)
         a = eigen_reconstruct(dec.eigenvectors, a_eigs)
-        s_new = soft_threshold(SymMatrix(a.array + l + u / mu), lambda1 / mu)
+        ah = _RELAX * a.array + (1.0 - _RELAX) * (s - l)
+        s_new = soft_threshold(SymMatrix(ah + l + u / mu), lambda1 / mu)
         l_new, l_kept = state.l, state.l_kept
         if lambda2 is not None:
             l_new, l_kept = psd_trace_shrink(
-                SymMatrix(s_new.array - a.array - u / mu), lambda2 / mu,
+                SymMatrix(s_new.array - ah - u / mu), lambda2 / mu,
                 partial=_PARTIAL_DIVISOR * state.l_kept <= problem.dim,
             )
+        u_new = SymMatrix(u + mu * (ah - s_new.array + l_new.array))
         gap = a.array - s_new.array + l_new.array
-        u_new = SymMatrix(u + mu * gap)
     except ValueError as exc:
         raise DivergenceError(
             f"non-finite iterate at iteration {state.iter + 1}: {exc}", state=state
@@ -200,8 +222,11 @@ def solve_lvgg(
     Runs `sblvgg_step` from ``S = I, L = 0, U = 0`` (or ``init``) until
     `check_stop` fires or ``config.max_iters`` sweeps elapse. ``config.mu``
     is the starting penalty: after each sweep it is doubled or halved when
-    the primal and dual residuals are far apart, at most a fixed number of
-    times, after which it stays fixed. Hitting the cap is reported via
+    the relaxed primal residual ``||U_k - U_{k-1}||_F / mu`` (the one the
+    dual step used) and the dual residual
+    ``mu*||(S - L)_k - (S - L)_{k-1}||_F`` are far apart, at most a fixed
+    number of times, after which it stays fixed. The stopping rule reads
+    the unrelaxed primal residual. Hitting the cap is reported via
     ``converged=False`` in the result, not an exception; DivergenceError
     propagates. For the graphical lasso L stays zero, so ``l_hat`` is zero
     and ``rank_l = 0``; an ``init`` with a nonzero L raises ValueError.
@@ -241,11 +266,13 @@ def solve_lvgg(
             converged = True
             break
         if mu_changes < _MU_MAX_CHANGES:
-            # dual residual: mu * ||(S - L)_k - (S - L)_{k-1}||_F
+            # primal: the relaxed residual the dual step used,
+            # ||U_k - U_{k-1}||_F / mu; dual: mu * ||(S - L)_k - (S - L)_{k-1}||_F
+            primal = float(np.linalg.norm(state.u.array - prev.u.array)) / config.mu
             dual = config.mu * float(np.linalg.norm(
                 (state.s.array - prev.s.array) - (state.l.array - prev.l.array)
             ))
-            mu = _balanced_mu(config.mu, state.primal_residual, dual)
+            mu = _balanced_mu(config.mu, primal, dual)
             if mu != config.mu:
                 config = replace(config, mu=mu)
                 mu_changes += 1

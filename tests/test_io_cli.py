@@ -162,6 +162,7 @@ def test_solve_identity_fixture(tmp_path, identity_cov):
     result = read_json(out / "result.json")
     assert result["rank_l"] == 0
     assert result["converged"] is True
+    assert result["kkt_residual"] <= 10 * 1e-6
     s_hat = read_matrix(out / "s_hat.npy")
     assert np.abs(s_hat - np.eye(6) / 1.1).max() <= 1e-4
     assert np.allclose(read_matrix(out / "l_hat.npy"), 0.0)
@@ -227,6 +228,7 @@ def test_glasso_command(tmp_path, identity_cov):
     assert np.abs(k_hat - np.eye(6) / 1.1).max() <= 1e-4
     result = read_json(out / "result.json")
     assert result["rank_l"] == 0
+    assert result["kkt_residual"] <= 10 * 1e-6
 
 
 def test_solver_env_overrides(tmp_path, identity_cov, monkeypatch):

@@ -1,7 +1,8 @@
 """Unit tests for the split-Bregman iteration and the glasso baseline.
 
 One-step behavior is pinned against hand-derived 1-D values, an analytic
-fixed point, and a straight-line transliteration of the four updates; full
+fixed point, and a straight-line transliteration of the four updates, both
+for the paper's sweep (``_RELAX`` patched to 1) and the over-relaxed one; full
 solves are checked against closed forms, high-accuracy self-oracles, and
 the KKT residual certificate.
 """
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from lvglasso import symlin
+from lvglasso import solver, symlin
 from lvglasso import (
     DivergenceError,
     IterationRecord,
@@ -48,7 +49,8 @@ def zero_state(p):
 # sblvgg_step
 
 
-def test_step_one_dimensional_hand_case():
+def test_step_one_dimensional_hand_case(monkeypatch):
+    monkeypatch.setattr(solver, "_RELAX", 1.0)  # the paper's unrelaxed sweep
     # p=1, sigma=1, lambda1=lambda2=10, mu=1, all-zero start:
     # K = -1, A = (-1+sqrt(5))/2; S and L threshold to 0; U = A.
     prob = LvggProblem(SymMatrix([[1.0]]), 10.0, 10.0)
@@ -59,6 +61,21 @@ def test_step_one_dimensional_hand_case():
     assert new.l.array[0, 0] == 0.0
     assert abs(new.u.array[0, 0] - golden) < 1e-12
     assert new.iter == 1
+    assert abs(new.primal_residual - golden) < 1e-12
+
+
+def test_relaxed_step_one_dimensional_hand_case():
+    # as above, but the S-, L- and U-updates read A_hat = alpha*A + (1-alpha)*0:
+    # S and L still threshold to 0, U = alpha*A, and the primal residual
+    # stays the unrelaxed |A - S + L|
+    alpha = solver._RELAX
+    prob = LvggProblem(SymMatrix([[1.0]]), 10.0, 10.0)
+    new = sblvgg_step(zero_state(1), prob, SolverConfig(mu=1.0))
+    golden = 0.6180339887498949
+    assert abs(new.a.array[0, 0] - golden) < 1e-12
+    assert new.s.array[0, 0] == 0.0
+    assert new.l.array[0, 0] == 0.0
+    assert abs(new.u.array[0, 0] - alpha * golden) < 1e-12
     assert abs(new.primal_residual - golden) < 1e-12
 
 
@@ -82,26 +99,32 @@ def test_step_is_identity_at_fixed_point():
     assert new.primal_residual < 1e-14
 
 
-def transliterated_step(sigma, s, l, u, lambda1, lambda2, mu):
-    """Straight-line reimplementation of the four updates, for one step."""
+def transliterated_step(sigma, s, l, u, lambda1, lambda2, mu, alpha=1.0):
+    """Straight-line reimplementation of the four updates, for one step.
+
+    The S-, L- and U-updates read the over-relaxed
+    ``ah = alpha*A + (1 - alpha)*(S - L)``; alpha=1 is the paper's sweep.
+    """
     k = mu * (s - l) - sigma - u
     k = (k + k.T) / 2.0
     w, v = np.linalg.eigh(k)
     a_eigs = (w + np.sqrt(w * w + 4.0 * mu)) / (2.0 * mu)
     a = v @ np.diag(a_eigs) @ v.T
     a = (a + a.T) / 2.0
-    arg_s = a + l + u / mu
+    ah = alpha * a + (1.0 - alpha) * (s - l)
+    arg_s = ah + l + u / mu
     s_new = np.sign(arg_s) * np.maximum(np.abs(arg_s) - lambda1 / mu, 0.0)
-    arg_l = s_new - a - u / mu
+    arg_l = s_new - ah - u / mu
     arg_l = (arg_l + arg_l.T) / 2.0
     wl, vl = np.linalg.eigh(arg_l)
     l_new = vl @ np.diag(np.maximum(wl - lambda2 / mu, 0.0)) @ vl.T
     l_new = (l_new + l_new.T) / 2.0
-    u_new = u + mu * (a - s_new + l_new)
+    u_new = u + mu * (ah - s_new + l_new)
     return a, s_new, l_new, u_new
 
 
-def test_step_matches_transliterated_reference():
+def test_step_matches_transliterated_reference(monkeypatch):
+    monkeypatch.setattr(solver, "_RELAX", 1.0)  # the paper's unrelaxed sweep
     rng = np.random.default_rng(13)
     for _ in range(10):
         sigma = wishart_sigma(2, rng)
@@ -119,6 +142,27 @@ def test_step_matches_transliterated_reference():
         assert np.allclose(new.s.array, s, atol=1e-12)
         assert np.allclose(new.l.array, l, atol=1e-12)
         assert np.allclose(new.u.array, u, atol=1e-12)
+
+
+def test_relaxed_step_matches_transliterated_reference():
+    rng = np.random.default_rng(13)
+    l1, l2, mu = 0.3, 0.4, 0.7
+    for _ in range(10):
+        sigma = wishart_sigma(2, rng)
+        s0 = wishart_sigma(2, rng)
+        g = rng.standard_normal((2, 2))
+        l0 = SymMatrix(g @ g.T * 0.1)
+        u0 = SymMatrix(rng.standard_normal((2, 2)) * 0.1)
+        state = SolverState(a=SymMatrix.identity(2), s=s0, l=l0, u=u0)
+        new = sblvgg_step(state, LvggProblem(sigma, l1, l2), SolverConfig(mu=mu))
+        a, s, l, u = transliterated_step(
+            sigma.array, s0.array, l0.array, u0.array, l1, l2, mu, solver._RELAX
+        )
+        assert np.allclose(new.a.array, a, atol=1e-12)
+        assert np.allclose(new.s.array, s, atol=1e-12)
+        assert np.allclose(new.l.array, l, atol=1e-12)
+        assert np.allclose(new.u.array, u, atol=1e-12)
+        assert abs(new.primal_residual - np.linalg.norm(a - s + l)) <= 1e-12
 
 
 def test_step_preserves_cone_memberships():
@@ -333,7 +377,8 @@ def test_partial_l_update_matches_the_full_path(monkeypatch, lambda2):
 
 
 @pytest.mark.parametrize("lambda2", [0.3, 0.01])
-def test_state_carries_the_l_update_kept_count(lambda2):
+def test_state_carries_the_l_update_kept_count(monkeypatch, lambda2):
+    monkeypatch.setattr(solver, "_RELAX", 1.0)  # the paper's unrelaxed sweep
     # l_kept counts the eigenvalues of S - A - U/mu above lambda2/mu, as a
     # full eigendecomposition of the L-update's input finds them
     prob = LvggProblem(cv_p100_covariance(), 0.02, lambda2)
@@ -344,6 +389,26 @@ def test_state_carries_the_l_update_kept_count(lambda2):
     for _ in range(30):
         new = sblvgg_step(state, prob, cfg)
         x = SymMatrix(new.s.array - new.a.array - state.u.array / cfg.mu)
+        ref = int(np.count_nonzero(np.linalg.eigvalsh(x.array) > lambda2 / cfg.mu))
+        assert new.l_kept == ref
+        counts.append(ref)
+        state = new
+    assert max(counts) > 0
+
+
+@pytest.mark.parametrize("lambda2", [0.3, 0.01])
+def test_relaxed_state_carries_the_l_update_kept_count(lambda2):
+    # the relaxed L-update's input is S_new - A_hat - U/mu with
+    # A_hat = alpha*A_new + (1 - alpha)*(S - L) from the incoming S and L
+    alpha = solver._RELAX
+    prob = LvggProblem(cv_p100_covariance(), 0.02, lambda2)
+    cfg = SolverConfig(mu=0.01)
+    state = zero_state(prob.dim)
+    counts = []
+    for _ in range(30):
+        new = sblvgg_step(state, prob, cfg)
+        a_hat = alpha * new.a.array + (1 - alpha) * (state.s.array - state.l.array)
+        x = SymMatrix(new.s.array - a_hat - state.u.array / cfg.mu)
         ref = int(np.count_nonzero(np.linalg.eigvalsh(x.array) > lambda2 / cfg.mu))
         assert new.l_kept == ref
         counts.append(ref)
@@ -403,6 +468,62 @@ def test_solve_too_large_starting_mu_reaches_the_same_limit():
     assert dl <= 1e-3 * max(1.0, np.linalg.norm(ref.l_hat.array))
 
 
+@pytest.mark.parametrize("lambda2", [0.2, None], ids=["lvgg", "glasso"])
+def test_relaxed_balancing_lowers_a_too_large_mu(monkeypatch, lambda2):
+    # mu = 5 is far above the balanced value. Balancing on the relaxed
+    # primal residual ||U_k - U_{k-1}||/mu halves mu at least as far as the
+    # unrelaxed run does; on the unrelaxed ||A - S + L|| the dual/primal
+    # ratio stalls inside the 10x band and mu stays at 2.5 here.
+    prob = LvggProblem(wishart_sigma(30, np.random.default_rng(61)), 0.1, lambda2)
+    cfg = SolverConfig(mu=5.0, epsilon=1e-6, max_iters=20000)
+    relaxed, records = solve_lvgg(prob, cfg)
+    monkeypatch.setattr(solver, "_RELAX", 1.0)
+    plain, plain_records = solve_lvgg(prob, cfg)
+    assert relaxed.converged and plain.converged
+    assert kkt_residual(prob, relaxed) <= 10 * cfg.epsilon
+    assert records[0].mu == 5.0
+    assert min(r.mu for r in records) <= min(r.mu for r in plain_records) < 5.0
+    if lambda2 is None:
+        assert relaxed.iters <= plain.iters
+    else:
+        # the three-block sweep does not always gain at a too-large start:
+        # 67 sweeps against 65 on this fixture
+        assert relaxed.iters <= plain.iters + plain.iters // 20
+
+
+@functools.cache
+def n_below_p_covariance():
+    # singular sample covariance: n = 40 samples of p = 120 variables
+    truth = generate_synthetic(LatentModelSpec(p_obs=120, p_hidden=10, seed=5))
+    return sample_gaussian(truth.k_marginal, n=40, seed=6).covariance
+
+
+@pytest.mark.parametrize("model", ["lvgg", "glasso"])
+def test_every_fixture_solve_is_certified(monkeypatch, model):
+    # every solve on the suite's fixtures certifies at 10*eps from any
+    # starting mu, and over-relaxation saves sweeps in total
+    eps = 1e-6
+    fixtures = [
+        (wishart_sigma(8, np.random.default_rng(14)), 0.1, 0.2),
+        (wishart_sigma(30, np.random.default_rng(61)), 0.1, 0.2),
+        (wishart_sigma(60, np.random.default_rng(60)), 0.1, 0.2),
+        (cv_p100_covariance(), 0.02, 0.3),
+        (n_below_p_covariance(), 0.1, 0.5),
+    ]
+    shipped, sweeps = solver._RELAX, {}
+    for alpha in (shipped, 1.0):
+        monkeypatch.setattr(solver, "_RELAX", alpha)
+        sweeps[alpha] = 0
+        for sigma, lambda1, lambda2 in fixtures:
+            prob = LvggProblem(sigma, lambda1, lambda2 if model == "lvgg" else None)
+            for mu in (1e-3, 1e-2, 5.0):
+                res, _ = solve_lvgg(prob, SolverConfig(mu=mu, epsilon=eps, max_iters=20000))
+                assert res.converged, (alpha, sigma.dim, mu)
+                assert kkt_residual(prob, res) <= 10 * eps, (alpha, sigma.dim, mu)
+                sweeps[alpha] += res.iters
+    assert sweeps[shipped] < sweeps[1.0]
+
+
 # ---------------------------------------------------------------------------
 # graphical lasso: solve_lvgg with lambda2=None
 
@@ -433,24 +554,27 @@ def test_glasso_matches_self_oracle():
     assert rel < 1e-6
 
 
-def transliterated_glasso_step(sigma, s, u, lam, mu):
-    """Straight-line two-block sweep (A-update, S-update, dual step)."""
+def transliterated_glasso_step(sigma, s, u, lam, mu, alpha=1.0):
+    """Straight-line two-block sweep (A-update, S-update, dual step), with
+    the S-update and dual step reading ``alpha*A + (1 - alpha)*S``."""
     k = mu * s - sigma - u
     k = (k + k.T) / 2.0
     w, v = np.linalg.eigh(k)
     a_eigs = (w + np.sqrt(w * w + 4.0 * mu)) / (2.0 * mu)
     a = v @ np.diag(a_eigs) @ v.T
     a = (a + a.T) / 2.0
-    arg_s = a + u / mu
+    ah = alpha * a + (1.0 - alpha) * s
+    arg_s = ah + u / mu
     s_new = np.sign(arg_s) * np.maximum(np.abs(arg_s) - lam / mu, 0.0)
-    u_new = u + mu * (a - s_new)
+    u_new = u + mu * (ah - s_new)
     objective = (
         -np.log(a_eigs).sum() + (a * sigma).sum() + lam * np.abs(a).sum()
     )
     return a, s_new, u_new, objective
 
 
-def test_glasso_step_matches_transliterated_reference():
+def test_glasso_step_matches_transliterated_reference(monkeypatch):
+    monkeypatch.setattr(solver, "_RELAX", 1.0)  # the paper's unrelaxed sweep
     # one sblvgg_step on a lambda2=None problem is the two-block glasso
     # sweep, and L stays exactly zero
     rng = np.random.default_rng(22)
@@ -462,6 +586,24 @@ def test_glasso_step_matches_transliterated_reference():
     new = sblvgg_step(state, LvggProblem(sigma, lam, None), SolverConfig(mu=mu))
     a, s, u, objective = transliterated_glasso_step(
         sigma.array, state.s.array, state.u.array, lam, mu
+    )
+    assert np.allclose(new.a.array, a, atol=1e-12)
+    assert np.allclose(new.s.array, s, atol=1e-12)
+    assert np.allclose(new.u.array, u, atol=1e-12)
+    assert abs(new.last_objective - objective) <= 1e-12 * max(1.0, abs(objective))
+    assert np.array_equal(new.l.array, np.zeros((5, 5)))
+
+
+def test_relaxed_glasso_step_matches_transliterated_reference():
+    rng = np.random.default_rng(22)
+    sigma = wishart_sigma(5, rng)
+    lam, mu = 0.15, 0.3
+    state = SolverState(
+        a=SymMatrix.identity(5), s=sigma, l=SymMatrix.zeros(5), u=SymMatrix(0.1 * sigma.array)
+    )
+    new = sblvgg_step(state, LvggProblem(sigma, lam, None), SolverConfig(mu=mu))
+    a, s, u, objective = transliterated_glasso_step(
+        sigma.array, state.s.array, state.u.array, lam, mu, solver._RELAX
     )
     assert np.allclose(new.a.array, a, atol=1e-12)
     assert np.allclose(new.s.array, s, atol=1e-12)
@@ -482,7 +624,8 @@ def test_glasso_init_with_nonzero_l_is_rejected():
 
 
 @pytest.mark.parametrize("sweeps", [1, 2, 3])
-def test_glasso_matches_transliterated_reference(sweeps):
+def test_glasso_matches_transliterated_reference(monkeypatch, sweeps):
+    monkeypatch.setattr(solver, "_RELAX", 1.0)  # the paper's unrelaxed sweep
     # lambda2=None runs the latent-variable sweep with L held at zero; its
     # first sweeps must equal the plain two-block glasso iteration
     rng = np.random.default_rng(21)
@@ -502,6 +645,30 @@ def test_glasso_matches_transliterated_reference(sweeps):
     assert np.allclose(res.s_hat.array, s, atol=1e-12)
     assert np.array_equal(res.l_hat.array, np.zeros((5, 5)))
     assert res.rank_l == 0
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+def test_relaxed_glasso_matches_transliterated_reference(sweeps):
+    # the relaxed blend reads alpha*A + (1 - alpha)*S, since L is zero; the
+    # recorded primal residual stays the unrelaxed ||A - S||
+    rng = np.random.default_rng(21)
+    sigma = wishart_sigma(5, rng)
+    lam, mu = 0.15, 0.3
+    res, records = solve_lvgg(
+        LvggProblem(sigma, lam, None), SolverConfig(mu=mu, max_iters=sweeps)
+    )
+    s, u = np.eye(5), np.zeros((5, 5))
+    for i in range(sweeps):
+        a, s_next, u, objective = transliterated_glasso_step(
+            sigma.array, s, u, lam, mu, solver._RELAX
+        )
+        assert abs(records[i].objective - objective) <= 1e-12 * max(1.0, abs(objective))
+        assert abs(records[i].primal_residual - np.linalg.norm(a - s_next)) <= 1e-12
+        s = s_next
+    assert res.iters == sweeps
+    assert np.allclose(res.a_hat.array, a, atol=1e-12)
+    assert np.allclose(res.s_hat.array, s, atol=1e-12)
+    assert np.array_equal(res.l_hat.array, np.zeros((5, 5)))
 
 
 def test_glasso_balanced_mu_needs_half_the_fixed_sweeps():
